@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md §6): effect of the 1% exact common-word bins
+//! Ablation: effect of the 1% exact common-word bins
 //! (§IV-E) on the skewed Windows-like corpus — query latency and bytes
 //! fetched for common vs rare words, with and without the reservation.
 

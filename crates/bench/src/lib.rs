@@ -5,10 +5,11 @@
 //! rows/series the paper reports and writes machine-readable JSON under
 //! `bench_results/`.
 //!
-//! Run them all via `cargo run -p airphant-bench --release --bin <name>`;
-//! the full list is in DESIGN.md §5. Corpora are *scaled-down* look-alikes
-//! of the paper's datasets (see DESIGN.md §4 and EXPERIMENTS.md); bin
-//! budgets scale with vocabulary so the structural regimes match.
+//! Run one via `cargo run -p airphant-bench --release --bin <name>`; the
+//! binaries are the files under `src/bin/`. Corpora are *scaled-down*
+//! look-alikes of the paper's datasets (scale factors and substitutions
+//! in EXPERIMENTS.md); bin budgets scale with vocabulary so the
+//! structural regimes match.
 //!
 //! Binaries with a headline metric additionally publish it as a
 //! [`Headline`] record (`bench_results/BENCH_<name>.json`), which the

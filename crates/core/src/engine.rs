@@ -93,7 +93,7 @@ impl SearchEngine for crate::Searcher {
     }
 
     fn lookup(&self, word: &str) -> Result<(PostingsList, QueryTrace)> {
-        crate::Searcher::lookup(self, word)
+        self.execute_lookup(&Query::term(word))
     }
 
     fn execute(&self, query: &Query, opts: &QueryOptions) -> Result<SearchResult> {

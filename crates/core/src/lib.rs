@@ -128,7 +128,7 @@ pub use error::AirphantError;
 pub use expand::EXPANSION_CAP;
 pub use memtable::{FlushPolicy, FlushReport, Flusher, FlusherStats, LiveIndex, Memtable};
 pub use plan::execute_with_lookup;
-pub use query::{Query, QueryBuilder, QueryOptions};
+pub use query::{Query, QueryBuilder, QueryOptions, Straggler};
 pub use result::{SearchHit, SearchResult};
 pub use searcher::Searcher;
 pub use segments::{Manifest, SegmentEntry, SegmentManager, SegmentedSearcher};

@@ -17,8 +17,11 @@
 //! (and per segment); the planner pays exactly one regardless of query
 //! shape — `trace.round_trips_of(PhaseKind::Postings) == 1` is asserted
 //! in the test suite.
+//!
+//! [`QueryOptions::straggler`] (§IV-G) picks which parts of that batch a
+//! query waits for (`keep_parts`), the same way on every driver.
 
-use crate::query::{Query, QueryOptions};
+use crate::query::{Query, QueryOptions, Straggler};
 use crate::result::{SearchHit, SearchResult};
 use crate::retrieval::BlobResolver;
 use crate::searcher::{sample_postings, seed_for, Searcher};
@@ -102,16 +105,84 @@ pub(crate) fn plan_postings(segments: &[&Searcher], atoms: &[String]) -> Posting
     }
 }
 
+/// The parts of a postings batch a [`Straggler`] policy keeps
+/// (`mask[i]`), and their count, bytes, latest first byte and summed
+/// transfer: what waiting for only them costs.
+pub(crate) struct KeptParts {
+    mask: Vec<bool>,
+    pub(crate) requests: u64,
+    pub(crate) bytes: u64,
+    pub(crate) wait: SimDuration,
+    pub(crate) download: SimDuration,
+}
+
+/// Pick the parts of a postings batch that `policy` keeps. Per segment
+/// and atom: the `k` layers with the earliest first byte
+/// ([`Straggler::Fastest`]), or those whose first byte arrives within
+/// the timeout and else the single fastest ([`Straggler::Timeout`]) — so
+/// a common word's single exact pointer is always kept. A part kept for
+/// one atom is intersected by every atom that points at it: its bytes
+/// have arrived anyway. `None` keeps every part (always so under
+/// [`Straggler::WaitAll`], which allocates nothing): the batch is charged
+/// and intersected whole.
+pub(crate) fn keep_parts(
+    plan: &PostingsPlan,
+    batch: &BatchFetch,
+    policy: Straggler,
+) -> Option<Box<KeptParts>> {
+    if policy == Straggler::WaitAll {
+        return None;
+    }
+    let first_byte = |i: usize| batch.parts[i].latency.first_byte;
+    let mut mask = vec![false; plan.requests.len()];
+    let mut order: Vec<usize> = Vec::new();
+    for (_, indices) in plan.fetch_plan.iter().flatten() {
+        order.clear();
+        order.extend_from_slice(indices);
+        order.sort_by_key(|&i| first_byte(i));
+        let keep = match policy {
+            Straggler::WaitAll => order.len(),
+            Straggler::Fastest(k) => k,
+            Straggler::Timeout(timeout) => order
+                .iter()
+                .take_while(|&&i| first_byte(i) <= timeout)
+                .count(),
+        };
+        for &i in order.iter().take(keep.max(1)) {
+            mask[i] = true;
+        }
+    }
+    if mask.iter().all(|&kept| kept) {
+        return None;
+    }
+    let mut kept = Box::new(KeptParts {
+        mask,
+        requests: 0,
+        bytes: 0,
+        wait: SimDuration::ZERO,
+        download: SimDuration::ZERO,
+    });
+    for (part, _) in batch.parts.iter().zip(&kept.mask).filter(|&(_, &k)| k) {
+        kept.requests += 1;
+        kept.bytes += part.bytes.len() as u64;
+        kept.wait = kept.wait.max(part.latency.first_byte);
+        kept.download += part.latency.transfer;
+    }
+    Some(kept)
+}
+
 /// Complete the postings phase from a fetched batch: decode each distinct
-/// range at most once, intersect per atom, and charge the decode work as
-/// compute on `trace`. The caller records the batch itself (the sync path
-/// via [`QueryTrace::record_batch`], the async driver with its
-/// possibly-hedged wait). When the plan had no requests, `batch` may be
-/// empty and every segment resolves to an empty map.
+/// kept range at most once, intersect per atom, and charge the decode
+/// work as compute on `trace`. `kept` is [`keep_parts`]'s answer (`None`
+/// keeps every part). The caller records the batch itself (the sync path
+/// in [`lookup_atoms`], the async driver with its possibly-hedged
+/// wait). When the plan had no requests, `batch` may be empty and every
+/// segment resolves to an empty map.
 pub(crate) fn complete_postings(
     plan: &PostingsPlan,
     atoms: &[String],
     batch: &BatchFetch,
+    kept: Option<&KeptParts>,
     trace: &mut QueryTrace,
 ) -> Result<SegmentAtomPostings> {
     if plan.requests.is_empty() {
@@ -128,7 +199,7 @@ pub(crate) fn complete_postings(
     for seg_plan in &plan.fetch_plan {
         for (_, indices) in seg_plan {
             for &i in indices {
-                if decoded[i].is_none() {
+                if decoded[i].is_none() && kept.is_none_or(|k| k.mask[i]) {
                     decoded[i] = Some(SuperpostView::parse(batch.parts[i].bytes.clone())?);
                 }
             }
@@ -139,10 +210,9 @@ pub(crate) fn complete_postings(
     for seg_plan in &plan.fetch_plan {
         let mut map = HashMap::with_capacity(atoms.len());
         for (atom_idx, indices) in seg_plan {
-            let refs: Vec<&SuperpostView> = indices
-                .iter()
-                .map(|&i| decoded[i].as_ref().expect("pre-validated"))
-                .collect();
+            // Exactly the kept parts were decoded above.
+            let mut refs: Vec<&SuperpostView> = Vec::with_capacity(indices.len());
+            refs.extend(indices.iter().filter_map(|&i| decoded[i].as_ref()));
             let postings = intersect_views(&refs);
             map.insert(atoms[*atom_idx].clone(), postings);
         }
@@ -157,10 +227,11 @@ pub(crate) fn complete_postings(
 /// Resolve `atoms` against every segment's MHT and fetch all superposts
 /// in a single concurrent batch, recording one [`PhaseKind::Postings`]
 /// phase on `trace`. Returns, per segment, each atom's intersected
-/// postings list.
+/// postings list over the parts `policy` keeps.
 pub(crate) fn lookup_atoms(
     segments: &[&Searcher],
     atoms: &[String],
+    policy: Straggler,
     trace: &mut QueryTrace,
 ) -> Result<SegmentAtomPostings> {
     let plan = plan_postings(segments, atoms);
@@ -170,8 +241,15 @@ pub(crate) fn lookup_atoms(
 
     // --- Execute: one batch of concurrent ranged reads for everything.
     let batch = segments[0].store_dyn().get_ranges(&plan.requests)?;
-    trace.record_batch(PhaseKind::Postings, &batch);
-    complete_postings(&plan, atoms, &batch, trace)
+    let kept = keep_parts(&plan, &batch, policy);
+    // Still one round trip: the stragglers were aborted, not re-requested.
+    match &kept {
+        None => trace.record_batch(PhaseKind::Postings, &batch),
+        Some(k) => {
+            trace.record_concurrent(PhaseKind::Postings, k.requests, k.bytes, k.wait, k.download)
+        }
+    }
+    complete_postings(&plan, atoms, &batch, kept.as_deref(), trace)
 }
 
 /// Evaluate `query` over one segment's atom postings.
@@ -190,7 +268,7 @@ pub(crate) fn lookup_over(
     let query = query.as_ref();
     let atoms = query.atoms()?;
     let mut trace = QueryTrace::new();
-    let maps = lookup_atoms(segments, &atoms, &mut trace)?;
+    let maps = lookup_atoms(segments, &atoms, Straggler::WaitAll, &mut trace)?;
     let mut out = PostingsList::new();
     for map in &maps {
         out.union_with(&evaluate_segment(query, map));
@@ -336,7 +414,7 @@ pub(crate) fn execute_over(
     let query = query.as_ref();
     let atoms = query.atoms()?;
     let mut trace = QueryTrace::new();
-    let maps = lookup_atoms(segments, &atoms, &mut trace)?;
+    let maps = lookup_atoms(segments, &atoms, opts.straggler, &mut trace)?;
 
     let doc_plan = plan_documents(segments, query, opts, &maps);
     let batch = if doc_plan.requests.is_empty() {

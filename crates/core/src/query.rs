@@ -18,6 +18,7 @@
 
 use crate::error::AirphantError;
 use airphant_corpus::{NgramTokenizer, Tokenizer};
+use airphant_storage::SimDuration;
 use iou_sketch::{levenshtein_within, PostingsList};
 
 /// A composable search predicate.
@@ -433,6 +434,27 @@ pub(crate) fn substring_grams(pattern: &str, n: usize) -> crate::Result<Vec<Stri
     Ok(grams)
 }
 
+/// Straggler mitigation for the postings batch (§IV-G).
+///
+/// The planner always issues every superpost request in one concurrent
+/// batch; the policy only decides which of the returned parts the query
+/// waits for. Dropping a layer keeps recall (an intersection over fewer
+/// layers is a superset) and only admits more candidates for the verify
+/// pass to filter. See `docs/adr/011-straggler-policy.md`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Straggler {
+    /// Wait for every layer (the paper's default lookup).
+    #[default]
+    WaitAll,
+    /// Per atom and segment, keep the `k` (at least one) layers whose
+    /// first byte arrives first — useful on an index built with spare
+    /// layers ([`crate::AirphantConfig::with_overprovision`]).
+    Fastest(usize),
+    /// Per atom and segment, keep the layers whose first byte arrives
+    /// within the timeout; when none does, keep the single fastest one.
+    Timeout(SimDuration),
+}
+
 /// Per-query execution options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryOptions {
@@ -446,6 +468,8 @@ pub struct QueryOptions {
     /// Capture the per-phase latency trace (on by default). When off, the
     /// returned [`crate::SearchResult::trace`] is empty.
     pub capture_trace: bool,
+    /// Which postings parts the query waits for (default: all of them).
+    pub straggler: Straggler,
 }
 
 impl Default for QueryOptions {
@@ -454,6 +478,7 @@ impl Default for QueryOptions {
             top_k: None,
             delta: None,
             capture_trace: true,
+            straggler: Straggler::WaitAll,
         }
     }
 }
@@ -497,6 +522,12 @@ impl QueryOptions {
     /// Set trace capture explicitly.
     pub fn with_trace(mut self, capture: bool) -> Self {
         self.capture_trace = capture;
+        self
+    }
+
+    /// Set the straggler policy for the postings batch.
+    pub fn straggler(mut self, policy: Straggler) -> Self {
+        self.straggler = policy;
         self
     }
 }

@@ -11,16 +11,10 @@
 use crate::builder::header_blob;
 use crate::error::AirphantError;
 use crate::result::SearchResult;
-use crate::retrieval::{contains_word, fetch_and_filter};
 use crate::Result;
 use airphant_corpus::{Tokenizer, WhitespaceTokenizer};
-use airphant_storage::{ObjectStore, PhaseKind, QueryTrace, RangeRequest, SimDuration};
-use iou_sketch::encoding::decode_superpost;
-use iou_sketch::mht::WordLookup;
-use iou_sketch::{
-    intersect_views, sample_size_for_top_k, HeaderBlock, Mht, PostingsList, SegmentFormat,
-    SuperpostView,
-};
+use airphant_storage::{ObjectStore, PhaseKind, QueryTrace, RangeRequest};
+use iou_sketch::{HeaderBlock, Mht, PostingsList, SegmentFormat};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -177,181 +171,6 @@ impl Searcher {
         self.store.usage(&format!("{}/", self.prefix)).unwrap_or(0)
     }
 
-    /// Term-index lookup (§II-A workflow steps 1–2): resolve the word to
-    /// superpost pointers, fetch them in one concurrent batch, decode, and
-    /// intersect. Returns the final postings list and the lookup trace —
-    /// the quantity Figure 14 and Figure 10c measure.
-    pub fn lookup(&self, word: &str) -> Result<(PostingsList, QueryTrace)> {
-        self.lookup_waiting_for(word, self.mht.layers())
-    }
-
-    /// Straggler-resilient lookup (§IV-G): issue all `L+` superpost
-    /// requests but continue once the fastest `wait_for` have arrived,
-    /// discarding the stragglers. Accuracy degrades gracefully (the result
-    /// is the intersection of the `wait_for` fastest superposts — a
-    /// superset of the full intersection, still with no false negatives).
-    pub fn lookup_waiting_for(
-        &self,
-        word: &str,
-        wait_for: usize,
-    ) -> Result<(PostingsList, QueryTrace)> {
-        let mut trace = QueryTrace::new();
-        match self.mht.lookup(word) {
-            WordLookup::Common(ptr) => {
-                let req = [RangeRequest::superpost(
-                    self.resolve_block(ptr.block),
-                    ptr.offset,
-                    ptr.len as u64,
-                )];
-                let batch = self.store.get_ranges(&req)?;
-                trace.record_batch(PhaseKind::Postings, &batch);
-                let list = decode_superpost(&batch.parts[0].bytes)?;
-                Ok((list, trace))
-            }
-            WordLookup::Sketched(ptrs) => {
-                let requests: Vec<RangeRequest> = ptrs
-                    .iter()
-                    .map(|p| {
-                        RangeRequest::superpost(self.resolve_block(p.block), p.offset, p.len as u64)
-                    })
-                    .collect();
-                let batch = self.store.get_ranges(&requests)?;
-                let wait_for = wait_for.clamp(1, batch.parts.len().max(1));
-                if wait_for == batch.parts.len() {
-                    trace.record_batch(PhaseKind::Postings, &batch);
-                    let compute_start = std::time::Instant::now();
-                    let views: Vec<SuperpostView> = batch
-                        .parts
-                        .iter()
-                        .map(|p| SuperpostView::parse(p.bytes.clone()))
-                        .collect::<iou_sketch::Result<_>>()?;
-                    let refs: Vec<&SuperpostView> = views.iter().collect();
-                    let out = intersect_views(&refs);
-                    trace.record_compute(SimDuration::from_secs_f64(
-                        compute_start.elapsed().as_secs_f64(),
-                    ));
-                    Ok((out, trace))
-                } else {
-                    // Keep only the `wait_for` fastest streams: the batch's
-                    // effective wait is the wait_for-th smallest
-                    // time-to-first-byte, and only the chosen parts' bytes
-                    // are downloaded (the rest are aborted).
-                    let mut order: Vec<usize> = (0..batch.parts.len()).collect();
-                    order.sort_by_key(|&i| batch.parts[i].latency.first_byte);
-                    let chosen = &order[..wait_for];
-                    let wait = batch.parts[chosen[wait_for - 1]].latency.first_byte;
-                    let download: SimDuration = chosen
-                        .iter()
-                        .map(|&i| batch.parts[i].latency.transfer)
-                        .sum();
-                    let bytes: u64 = chosen
-                        .iter()
-                        .map(|&i| batch.parts[i].bytes.len() as u64)
-                        .sum();
-                    // One concurrent batch was issued; only the fastest
-                    // streams were kept. Still a single round trip.
-                    trace.record_concurrent(
-                        PhaseKind::Postings,
-                        wait_for as u64,
-                        bytes,
-                        wait,
-                        download,
-                    );
-                    let compute_start = std::time::Instant::now();
-                    let views: Vec<SuperpostView> = chosen
-                        .iter()
-                        .map(|&i| SuperpostView::parse(batch.parts[i].bytes.clone()))
-                        .collect::<iou_sketch::Result<_>>()?;
-                    let refs: Vec<&SuperpostView> = views.iter().collect();
-                    let out = intersect_views(&refs);
-                    trace.record_compute(SimDuration::from_secs_f64(
-                        compute_start.elapsed().as_secs_f64(),
-                    ));
-                    Ok((out, trace))
-                }
-            }
-        }
-    }
-
-    /// Timeout-based straggler mitigation — "the simplest mitigation is
-    /// then to set a timeout before aborting the trailing request"
-    /// (§IV-G). Superposts whose time-to-first-byte exceeds `timeout` are
-    /// discarded (unless *none* arrive in time, in which case the fastest
-    /// one is kept so the query still answers). The result intersects only
-    /// the surviving layers: still no false negatives, possibly more false
-    /// positives.
-    pub fn lookup_with_timeout(
-        &self,
-        word: &str,
-        timeout: SimDuration,
-    ) -> Result<(PostingsList, QueryTrace)> {
-        let mut trace = QueryTrace::new();
-        match self.mht.lookup(word) {
-            WordLookup::Common(ptr) => {
-                let req = [RangeRequest::superpost(
-                    self.resolve_block(ptr.block),
-                    ptr.offset,
-                    ptr.len as u64,
-                )];
-                let batch = self.store.get_ranges(&req)?;
-                trace.record_batch(PhaseKind::Postings, &batch);
-                Ok((decode_superpost(&batch.parts[0].bytes)?, trace))
-            }
-            WordLookup::Sketched(ptrs) => {
-                let requests: Vec<RangeRequest> = ptrs
-                    .iter()
-                    .map(|p| {
-                        RangeRequest::superpost(self.resolve_block(p.block), p.offset, p.len as u64)
-                    })
-                    .collect();
-                let batch = self.store.get_ranges(&requests)?;
-                let mut chosen: Vec<usize> = (0..batch.parts.len())
-                    .filter(|&i| batch.parts[i].latency.first_byte <= timeout)
-                    .collect();
-                if chosen.is_empty() {
-                    // Keep the single fastest stream: degrade, don't fail.
-                    let fastest = (0..batch.parts.len())
-                        .min_by_key(|&i| batch.parts[i].latency.first_byte)
-                        .expect("non-empty batch");
-                    chosen.push(fastest);
-                }
-                let wait = chosen
-                    .iter()
-                    .map(|&i| batch.parts[i].latency.first_byte)
-                    .max()
-                    .unwrap_or(SimDuration::ZERO);
-                let download: SimDuration = chosen
-                    .iter()
-                    .map(|&i| batch.parts[i].latency.transfer)
-                    .sum();
-                let bytes: u64 = chosen
-                    .iter()
-                    .map(|&i| batch.parts[i].bytes.len() as u64)
-                    .sum();
-                // One concurrent batch; stragglers beyond the timeout were
-                // aborted, not re-requested. Still a single round trip.
-                trace.record_concurrent(
-                    PhaseKind::Postings,
-                    chosen.len() as u64,
-                    bytes,
-                    wait,
-                    download,
-                );
-                let compute_start = std::time::Instant::now();
-                let views: Vec<SuperpostView> = chosen
-                    .iter()
-                    .map(|&i| SuperpostView::parse(batch.parts[i].bytes.clone()))
-                    .collect::<iou_sketch::Result<_>>()?;
-                let refs: Vec<&SuperpostView> = views.iter().collect();
-                let out = intersect_views(&refs);
-                trace.record_compute(SimDuration::from_secs_f64(
-                    compute_start.elapsed().as_secs_f64(),
-                ));
-                Ok((out, trace))
-            }
-        }
-    }
-
     /// Execute a [`Query`](crate::Query) through the single-batch planner
     /// (§III-C generalized): every term's and gram's superposts are
     /// fetched in **one** concurrent batch, the boolean algebra runs over
@@ -367,8 +186,10 @@ impl Searcher {
 
     /// Index-lookup phase of [`Searcher::execute`] only: resolve the whole
     /// query's candidate postings in exactly one storage round trip
-    /// (`trace.round_trips() == 1`). This is the compound-query
-    /// counterpart of [`Searcher::lookup`].
+    /// (`trace.round_trips() == 1`). A single [`Query::term`] is the
+    /// term-index lookup Figure 14 measures.
+    ///
+    /// [`Query::term`]: crate::Query::term
     pub fn execute_lookup(&self, query: &crate::Query) -> Result<(PostingsList, QueryTrace)> {
         crate::plan::lookup_over(&[self], query)
     }
@@ -385,50 +206,6 @@ impl Searcher {
             &crate::Query::term(word),
             &crate::QueryOptions::new().with_top_k(top_k),
         )
-    }
-
-    /// Search waiting for only the fastest `wait_for` superposts (§IV-G).
-    pub fn search_waiting_for(
-        &self,
-        word: &str,
-        wait_for: usize,
-        top_k: Option<usize>,
-    ) -> Result<SearchResult> {
-        let (final_postings, mut trace) = self.lookup_waiting_for(word, wait_for)?;
-        let candidates = final_postings.len();
-
-        // Top-K sampling: fetch only R_K of the R candidates (Equation 6).
-        // Uses the modeled expected FP of the built structure: for a
-        // well-optimized sketch this is ≤ F0; for a degenerate structure
-        // (e.g. the L=1 HashTable baseline) it is large, forcing a full
-        // fetch as the paper's HashTable behaviour shows.
-        let is_common = self.mht.lookup(word).is_common();
-        let f0 = if is_common { 0.0 } else { self.expected_fp };
-        let to_fetch: Vec<iou_sketch::Posting> = match top_k {
-            Some(k) => {
-                let rk = sample_size_for_top_k(k, candidates, f0, self.topk_delta);
-                sample_postings(&final_postings, rk, seed_for(word))
-            }
-            None => final_postings.iter().copied().collect(),
-        };
-
-        let predicate = contains_word(self.tokenizer.as_ref(), word);
-        let (mut hits, dropped) = fetch_and_filter(
-            self.store.as_ref(),
-            self.mht.string_table(),
-            &to_fetch,
-            &predicate,
-            &mut trace,
-        )?;
-        if let Some(k) = top_k {
-            hits.truncate(k);
-        }
-        Ok(SearchResult {
-            hits,
-            trace,
-            candidates,
-            false_positives_removed: dropped,
-        })
     }
 
     /// Tokenizer used for false-positive filtering.
@@ -460,16 +237,6 @@ pub(crate) fn sample_postings(
     all
 }
 
-trait WordLookupExt {
-    fn is_common(&self) -> bool;
-}
-
-impl WordLookupExt for WordLookup {
-    fn is_common(&self) -> bool {
-        matches!(self, WordLookup::Common(_))
-    }
-}
-
 // The whole read path is shared across query threads through a single
 // `Arc<Searcher>`: per-query state (trace, candidates, samples) lives on
 // the calling thread's stack, and the only shared mutability sits behind
@@ -484,8 +251,11 @@ mod tests {
     use super::*;
     use crate::builder::Builder;
     use crate::config::AirphantConfig;
+    use crate::{Query, QueryOptions, Straggler};
     use airphant_corpus::{Corpus, LineSplitter, WhitespaceTokenizer};
-    use airphant_storage::{InMemoryStore, LatencyModel, SimulatedCloudStore};
+    use airphant_storage::{
+        InMemoryStore, LatencyModel, PhaseTrace, SimDuration, SimulatedCloudStore,
+    };
     use bytes::Bytes;
 
     fn build_corpus(store: Arc<dyn ObjectStore>, lines: &[&str]) -> Corpus {
@@ -502,6 +272,24 @@ mod tests {
     fn build_index(store: Arc<dyn ObjectStore>, lines: &[&str], config: AirphantConfig) {
         let corpus = build_corpus(store, lines);
         Builder::new(config).build(&corpus, "idx").unwrap();
+    }
+
+    /// The postings phase of an executed query's trace.
+    fn postings_phase(r: &SearchResult) -> &PhaseTrace {
+        let mut phases = r
+            .trace
+            .phases()
+            .iter()
+            .filter(|p| p.kind == PhaseKind::Postings);
+        let phase = phases.next().expect("a postings phase");
+        assert!(phases.next().is_none(), "exactly one postings phase");
+        phase
+    }
+
+    fn execute_with(searcher: &Searcher, word: &str, policy: Straggler) -> SearchResult {
+        searcher
+            .execute(&Query::term(word), &QueryOptions::new().straggler(policy))
+            .unwrap()
     }
 
     #[test]
@@ -582,7 +370,7 @@ mod tests {
         store.reset_stats();
         let searcher = Searcher::open(store.clone(), "idx").unwrap();
         store.reset_stats(); // drop init traffic
-        let (_, trace) = searcher.lookup("beta").unwrap();
+        let (_, trace) = searcher.execute_lookup(&Query::term("beta")).unwrap();
         let stats = store.stats();
         assert_eq!(stats.batches, 1, "exactly one concurrent batch");
         assert_eq!(stats.read_requests, 3, "one request per layer");
@@ -604,7 +392,7 @@ mod tests {
                 .with_common_fraction(0.05),
         );
         let searcher = Searcher::open(store, "idx").unwrap();
-        let (postings, trace) = searcher.lookup("the").unwrap();
+        let (postings, trace) = searcher.execute_lookup(&Query::term("the")).unwrap();
         assert_eq!(postings.len(), 3);
         assert_eq!(trace.requests(), 1, "common word needs one pointer");
         let r = searcher.search("the", None).unwrap();
@@ -668,17 +456,17 @@ mod tests {
         let mut fast_wait = 0.0;
         for i in 0..30 {
             let w = format!("word{i}");
-            let (_, t_full) = searcher.lookup_waiting_for(&w, 6).unwrap();
-            let (_, t_fast) = searcher.lookup_waiting_for(&w, 2).unwrap();
-            full_wait += t_full.wait().as_millis_f64();
-            fast_wait += t_fast.wait().as_millis_f64();
+            let full = execute_with(&searcher, &w, Straggler::WaitAll);
+            let fast = execute_with(&searcher, &w, Straggler::Fastest(2));
+            full_wait += postings_phase(&full).wait.as_millis_f64();
+            fast_wait += postings_phase(&fast).wait.as_millis_f64();
         }
         assert!(
             fast_wait < full_wait,
             "2-of-6 wait {fast_wait} should beat 6-of-6 {full_wait}"
         );
         // Recall is still perfect with the degraded intersection.
-        let r = searcher.search_waiting_for("word7", 2, None).unwrap();
+        let r = execute_with(&searcher, "word7", Straggler::Fastest(2));
         assert_eq!(r.hits.len(), 1);
     }
 
@@ -707,18 +495,17 @@ mod tests {
         let mut any_dropped = false;
         for i in 0..30 {
             let w = format!("tok{i}");
-            let (postings, trace) = searcher.lookup_with_timeout(&w, timeout).unwrap();
+            let r = execute_with(&searcher, &w, Straggler::Timeout(timeout));
             // Recall is preserved regardless of how many layers survived.
-            assert!(
-                postings.contains(&iou_sketch::Posting::new(0, 0, 1)) || !postings.is_empty(),
-                "word {w} must resolve"
-            );
-            if trace.requests() < 4 {
+            assert!(r.candidates > 0, "word {w} must resolve");
+            assert_eq!(r.hits.len(), 1, "word {w} must be found");
+            let postings = postings_phase(&r);
+            if postings.requests < 4 {
                 any_dropped = true;
                 // Wait never exceeds the timeout when layers were dropped
                 // (unless the all-slow fallback kicked in with 1 request).
-                if trace.requests() > 1 {
-                    assert!(trace.wait() <= timeout, "wait {} > timeout", trace.wait());
+                if postings.requests > 1 {
+                    assert!(postings.wait <= timeout, "wait {} > timeout", postings.wait);
                 }
             }
         }
@@ -744,10 +531,16 @@ mod tests {
             );
         }
         let searcher = Searcher::open(store, "idx").unwrap();
-        let (_, trace) = searcher
-            .lookup_with_timeout("beta", SimDuration::from_millis(10_000))
-            .unwrap();
-        assert_eq!(trace.requests(), 3, "generous timeout keeps all layers");
+        let r = execute_with(
+            &searcher,
+            "beta",
+            Straggler::Timeout(SimDuration::from_millis(10_000)),
+        );
+        assert_eq!(
+            postings_phase(&r).requests,
+            3,
+            "generous timeout keeps all layers"
+        );
     }
 
     #[test]

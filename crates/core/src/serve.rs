@@ -37,8 +37,8 @@ use crate::admission::{AdmissionConfig, AdmissionController, AdmissionStats, Pri
 use crate::engine::{SearchEngine, StagedEngine};
 use crate::error::AirphantError;
 use crate::plan::{
-    complete_documents, complete_postings, plan_documents, plan_postings, DocPlan, PostingsPlan,
-    SegmentAtomPostings,
+    complete_documents, complete_postings, keep_parts, plan_documents, plan_postings, DocPlan,
+    KeptParts, PostingsPlan, SegmentAtomPostings,
 };
 use crate::query::{Query, QueryOptions};
 use crate::result::SearchResult;
@@ -829,6 +829,10 @@ struct PendingBatch {
     /// returns identical bytes and reusing the originals keeps results
     /// byte-for-byte equal to the sync path.
     batch: BatchFetch,
+    /// The postings parts the query's straggler policy keeps from the
+    /// winning copy; `None` waits for the whole batch. Boxed so that a
+    /// wait-all flight stays as small as it was.
+    kept: Option<Box<KeptParts>>,
     /// Winning first-byte wait (hedge may shrink it).
     wait: SimDuration,
     /// Winning transfer time.
@@ -1035,7 +1039,13 @@ fn empty_batch() -> BatchFetch {
 fn postings_step(segments: &[&crate::Searcher], flight: &mut Flight) -> StepOutcome {
     let plan = plan_postings(segments, &flight.atoms);
     if plan.requests.is_empty() {
-        match complete_postings(&plan, &flight.atoms, &empty_batch(), &mut flight.trace) {
+        match complete_postings(
+            &plan,
+            &flight.atoms,
+            &empty_batch(),
+            None,
+            &mut flight.trace,
+        ) {
             Ok(mut maps) => {
                 // `plan_postings` sizes per-plan maps; `plan_documents`
                 // expects one map per segment even with zero requests.
@@ -1564,11 +1574,18 @@ fn process_storage_done(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u
 
     flight.stage = FlightStage::Merging;
     // Charge the winning wait/download to the trace (the sync path's
-    // `record_batch` with the hedge-adjusted timing).
+    // `record_batch` with the hedge- and straggler-adjusted timing).
+    let (requests, bytes) = match &pending.kept {
+        Some(k) => (k.requests, k.bytes),
+        None => (
+            pending.batch.parts.len() as u64,
+            pending.batch.total_bytes(),
+        ),
+    };
     flight.trace.record_concurrent(
         pending.kind,
-        pending.batch.parts.len() as u64,
-        pending.batch.total_bytes(),
+        requests,
+        bytes,
         pending.wait,
         pending.download,
     );
@@ -1579,7 +1596,13 @@ fn process_storage_done(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u
                 .postings_plan
                 .take()
                 .expect("postings plan set at dispatch");
-            match complete_postings(&plan, &flight.atoms, &pending.batch, &mut flight.trace) {
+            match complete_postings(
+                &plan,
+                &flight.atoms,
+                &pending.batch,
+                pending.kept.as_deref(),
+                &mut flight.trace,
+            ) {
                 Ok(maps) => {
                     flight.maps = Some(maps);
                     let step = run_staged(shared, &mut flight, documents_step);
@@ -1666,7 +1689,13 @@ fn process_hedge_fire(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u32
         return; // hedge failed; the original is still in flight
     };
     core.dispatched += 1;
-    let latency = duplicate.batch_wait + duplicate.batch_download;
+    // The duplicate is judged by the same straggler policy as the
+    // original: it wins when the parts the policy keeps arrive sooner.
+    let (kept, wait, download) = match core.flights.get(&id) {
+        Some(flight) => straggler_cut(flight, &duplicate),
+        None => (None, duplicate.batch_wait, duplicate.batch_download),
+    };
+    let latency = wait + download;
     let (_start, completes) = core.acquire_slot(at, latency);
     let mut won = false;
     let mut new_epoch = 0;
@@ -1676,8 +1705,9 @@ fn process_hedge_fire(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u32
             if completes < pending.completes_at {
                 flight.epoch += 1;
                 new_epoch = flight.epoch;
-                pending.wait = duplicate.batch_wait;
-                pending.download = duplicate.batch_download;
+                pending.kept = kept;
+                pending.wait = wait;
+                pending.download = download;
                 pending.latency = latency;
                 pending.completes_at = completes;
                 // `pending.batch` keeps the original bytes: blobs are
@@ -1698,6 +1728,24 @@ fn process_hedge_fire(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u32
         );
         shared.cv.notify_all();
     }
+}
+
+/// Apply `flight`'s straggler policy to a fetched batch: the kept
+/// postings parts (`None` outside the postings stage, or when every part
+/// is kept) and the wait and download the query pays for them.
+fn straggler_cut(
+    flight: &Flight,
+    batch: &BatchFetch,
+) -> (Option<Box<KeptParts>>, SimDuration, SimDuration) {
+    let kept = flight
+        .postings_plan
+        .as_ref()
+        .and_then(|plan| keep_parts(plan, batch, flight.opts.straggler));
+    let (wait, download) = match &kept {
+        Some(k) => (k.wait, k.download),
+        None => (batch.batch_wait, batch.batch_download),
+    };
+    (kept, wait, download)
 }
 
 /// Run a planning/merging stage that needs the engine's segment set.
@@ -1733,17 +1781,19 @@ fn apply_step(
             let mut core = shared.lock_core();
             core.dispatched += 1;
             core.primary_dispatches += 1;
-            let latency = batch.batch_wait + batch.batch_download;
+            let (kept, wait, download) = straggler_cut(&flight, &batch);
+            let latency = wait + download;
             let (start, completes) = core.acquire_slot(at, latency);
             flight.stage = FlightStage::AwaitingStorage(kind);
             flight.pending = Some(PendingBatch {
                 kind,
                 requests,
-                wait: batch.batch_wait,
-                download: batch.batch_download,
+                wait,
+                download,
                 latency,
                 completes_at: completes,
                 batch,
+                kept,
                 hedged: false,
             });
             let epoch = flight.epoch;
@@ -2458,8 +2508,20 @@ mod tests {
         v.join("|")
     }
 
+    /// A trace's shape: per storage phase, its kind, requests, round
+    /// trips and bytes.
+    fn shape(trace: &QueryTrace) -> Vec<(PhaseKind, u64, u64, u64)> {
+        trace
+            .phases()
+            .iter()
+            .filter(|p| p.kind != PhaseKind::Compute)
+            .map(|p| (p.kind, p.requests, p.batches, p.bytes))
+            .collect()
+    }
+
     #[test]
     fn async_results_match_sync_path_byte_for_byte() {
+        use crate::Straggler;
         let (searcher, _sim) = async_fixture(60, 11);
         let server = AsyncQueryServer::start(
             searcher.clone() as Arc<dyn StagedEngine>,
@@ -2473,19 +2535,45 @@ mod tests {
                 ])
             })
             .collect();
-        let tickets: Vec<AsyncTicket> = queries
-            .iter()
-            .map(|q| server.submit_at(q.clone(), QueryOptions::new(), SubmitSpec::new()))
-            .collect();
-        server.drain();
-        for (q, t) in queries.iter().zip(tickets) {
-            let resp = t.wait();
-            let served = resp.result.expect("async query served");
-            let direct = searcher.execute(q, &QueryOptions::new()).unwrap();
-            assert_eq!(canonical_hits(&served), canonical_hits(&direct));
+        // Every straggler policy, and whether it keeps both layers.
+        let policies = [
+            (Straggler::WaitAll, true),
+            (Straggler::Fastest(1), false),
+            (Straggler::Timeout(SimDuration::from_millis(45)), false),
+            (Straggler::Fastest(2), true),
+            (Straggler::Timeout(SimDuration::from_nanos(u64::MAX)), true),
+        ];
+        for (policy, keeps_every_layer) in policies {
+            let opts = QueryOptions::new().straggler(policy);
+            let mut trimmed = 0;
+            let tickets: Vec<AsyncTicket> = queries
+                .iter()
+                .map(|q| server.submit_at(q.clone(), opts.clone(), SubmitSpec::new()))
+                .collect();
+            server.drain();
+            for (q, t) in queries.iter().zip(tickets) {
+                let resp = t.wait();
+                let served = resp.result.expect("async query served");
+                let direct = searcher.execute(q, &opts).unwrap();
+                let wait_all = searcher.execute(q, &QueryOptions::new()).unwrap();
+                assert_eq!(canonical_hits(&served), canonical_hits(&direct));
+                assert_eq!(served.hits, wait_all.hits, "{policy:?}");
+                assert!(served.candidates >= wait_all.candidates, "{policy:?}");
+                assert_eq!(served.trace.round_trips_of(PhaseKind::Postings), 1);
+                if keeps_every_layer {
+                    assert_eq!(shape(&served.trace), shape(&wait_all.trace), "{policy:?}");
+                } else if shape(&served.trace)[0].1 < shape(&wait_all.trace)[0].1 {
+                    // The postings phase (always first) kept fewer parts.
+                    trimmed += 1;
+                }
+            }
+            assert!(
+                keeps_every_layer || trimmed > 0,
+                "{policy:?} never dropped a layer"
+            );
         }
         let stats = server.shutdown();
-        assert_eq!(stats.completed, 30);
+        assert_eq!(stats.completed, 30 * policies.len() as u64);
         assert_eq!(stats.rejected + stats.failed + stats.timed_out, 0);
         let adm = stats.admission.expect("admission stats attached");
         assert_eq!(adm.submitted, adm.admitted + adm.shed_total());
@@ -2651,15 +2739,27 @@ mod tests {
                 }),
         )
         .with_hedge_backend(hedge_backend as Arc<dyn ObjectStore>);
-        let queries: Vec<Query> = (0..120)
-            .map(|i| Query::term(format!("word{}", i % 60)))
+        // Every other query trims its postings batch to the fastest
+        // layer: a hedge of that batch is judged by the same policy.
+        let queries: Vec<(Query, QueryOptions)> = (0..120)
+            .map(|i| {
+                let policy = if i % 2 == 0 {
+                    crate::Straggler::WaitAll
+                } else {
+                    crate::Straggler::Fastest(1)
+                };
+                (
+                    Query::term(format!("word{}", i % 60)),
+                    QueryOptions::new().straggler(policy),
+                )
+            })
             .collect();
         let tickets: Vec<AsyncTicket> = queries
             .iter()
-            .map(|q| server.submit_at(q.clone(), QueryOptions::new(), SubmitSpec::new()))
+            .map(|(q, opts)| server.submit_at(q.clone(), opts.clone(), SubmitSpec::new()))
             .collect();
         server.drain();
-        for (q, t) in queries.iter().zip(tickets) {
+        for ((q, _), t) in queries.iter().zip(tickets) {
             let served = t.wait().result.expect("served");
             let direct = searcher.execute(q, &QueryOptions::new()).unwrap();
             assert_eq!(

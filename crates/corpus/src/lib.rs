@@ -11,7 +11,7 @@
 //! profiled statistics match scaled-down versions of Table II — the
 //! statistics (document counts, vocabulary, per-document distinct words,
 //! skew) are what drive IoU Sketch behaviour, not the literal byte content.
-//! See DESIGN.md §4 for the substitution rationale.
+//! EXPERIMENTS.md records the substitution and each corpus's scale factor.
 //!
 //! * [`Corpus`] — blobs in an [`ObjectStore`](airphant_storage::ObjectStore)
 //!   plus a document splitter and tokenizer; iterate documents, profile,

@@ -5,8 +5,8 @@
 //! these generators reproduce the *profiled shape* of each corpus at a
 //! configurable scale — the docs/terms/words ratios of Table II — because
 //! those ratios (not the literal log text) determine IoU Sketch accuracy
-//! and every latency trend in the evaluation. Scale-down rationale is in
-//! DESIGN.md §4.
+//! and every latency trend in the evaluation. Scale factors are recorded
+//! in EXPERIMENTS.md.
 //!
 //! Table II targets (full scale):
 //!

@@ -9,7 +9,7 @@
 //!
 //! The paper serializes with Protocol Buffers; protobuf is not on the
 //! offline crate allowlist, so we implement an equivalent compact binary
-//! format (see DESIGN.md §4): LEB128 varints, delta-encoded sorted
+//! format (see EXPERIMENTS.md, "Substitutions"): LEB128 varints, delta-encoded sorted
 //! postings, and interned blob names ("Airphant compresses repeated strings
 //! within postings into integer keys").
 

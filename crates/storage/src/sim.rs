@@ -1,6 +1,6 @@
 //! [`SimulatedCloudStore`]: a latency-simulating wrapper around any backend.
 //!
-//! This is the substitution for GCP Cloud Storage (see DESIGN.md §4): the
+//! This is the substitution for GCP Cloud Storage (see EXPERIMENTS.md): the
 //! inner store supplies the bytes, the [`LatencyModel`] supplies the
 //! simulated network cost. Every read samples a latency; batched reads use
 //! the shared-bandwidth contention model. Aggregate I/O statistics are

@@ -4,8 +4,8 @@
 //! crates and hosts the runnable examples (`examples/`) and cross-crate
 //! integration tests (`tests/`).
 //!
-//! See the repository README for the architecture overview and DESIGN.md
-//! for the system inventory and per-experiment index.
+//! See the repository README for the architecture overview and
+//! EXPERIMENTS.md for the experiments and their scale.
 
 pub use airphant;
 pub use airphant_baselines;

@@ -2,11 +2,14 @@
 //! `Query` AST (a) issues exactly one superpost batch for its whole
 //! index-lookup phase and (b) returns exactly the documents a linear
 //! scan would — no false negatives from the sketch, no false positives
-//! past the verify pass.
+//! past the verify pass — under every straggler policy.
 
-use airphant::{AirphantConfig, Builder, Query, QueryOptions, Searcher};
+use airphant::{AirphantConfig, Builder, Query, QueryOptions, Searcher, Straggler};
 use airphant_corpus::{Corpus, LineSplitter, WhitespaceTokenizer};
-use airphant_storage::{InMemoryStore, LatencyModel, ObjectStore, SimulatedCloudStore};
+use airphant_storage::{
+    InMemoryStore, LatencyModel, ObjectStore, PhaseKind, QueryTrace, SimDuration,
+    SimulatedCloudStore,
+};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -38,6 +41,29 @@ fn ast_from_tape(tape: &[(u8, u8)]) -> Query {
     }
 }
 
+/// The straggler policy under test. Picks 3 and 4 keep every layer of
+/// an index built with `layers` layers.
+fn policy(pick: u8, k: usize, timeout_ms: u64, layers: usize) -> Straggler {
+    match pick {
+        0 => Straggler::WaitAll,
+        1 => Straggler::Fastest(k),
+        2 => Straggler::Timeout(SimDuration::from_millis(timeout_ms)),
+        3 => Straggler::Fastest(layers),
+        _ => Straggler::Timeout(SimDuration::from_nanos(u64::MAX)),
+    }
+}
+
+/// A trace's shape: per storage phase, its kind, requests, round trips
+/// and bytes.
+fn shape(trace: &QueryTrace) -> Vec<(PhaseKind, u64, u64, u64)> {
+    trace
+        .phases()
+        .iter()
+        .filter(|p| p.kind != PhaseKind::Compute)
+        .map(|p| (p.kind, p.requests, p.batches, p.bytes))
+        .collect()
+}
+
 fn doc_text(words: &[u8]) -> String {
     words
         .iter()
@@ -55,11 +81,15 @@ proptest! {
         tape in prop::collection::vec((0u8..3, 0u8..34), 1..12),
         layers in 1usize..4,
         seed in 0u64..500,
+        pick in 0u8..5,
+        k in 1usize..4,
+        timeout_ms in 0u64..120,
     ) {
-        // --- Index the corpus behind a batch-counting store.
+        // --- Index the corpus behind a batch-counting store whose
+        // heavy-tailed first bytes make the straggler policy bite.
         let store = Arc::new(SimulatedCloudStore::new(
             InMemoryStore::new(),
-            LatencyModel::instantaneous(),
+            LatencyModel::builder().long_tail(0.3, 1.1).build(),
             seed,
         ));
         {
@@ -95,7 +125,7 @@ proptest! {
 
         // --- (b) Exactness against a linear scan of the raw documents.
         let r = searcher.execute(&query, &QueryOptions::new()).unwrap();
-        let got: BTreeSet<String> = r.hits.into_iter().map(|h| h.text).collect();
+        let got: BTreeSet<String> = r.hits.iter().map(|h| h.text.clone()).collect();
         let mut expected = BTreeSet::new();
         for d in &docs {
             let text = doc_text(d);
@@ -105,5 +135,23 @@ proptest! {
             }
         }
         prop_assert_eq!(got, expected, "query: {:?}", query);
+
+        // --- (c) A straggler policy only admits more candidates: the
+        // hits stay byte-equal to the wait-all run, still in one postings
+        // round trip, and a policy that keeps every layer leaves the
+        // trace shape untouched.
+        let straggler = policy(pick, k, timeout_ms, layers);
+        let p = searcher
+            .execute(&query, &QueryOptions::new().straggler(straggler))
+            .unwrap();
+        prop_assert_eq!(&p.hits, &r.hits, "{:?}, query: {:?}", straggler, query);
+        prop_assert!(p.candidates >= r.candidates, "{:?}", straggler);
+        prop_assert_eq!(
+            p.trace.round_trips_of(PhaseKind::Postings),
+            u64::from(!atoms.is_empty())
+        );
+        if pick == 0 || pick >= 3 {
+            prop_assert_eq!(shape(&p.trace), shape(&r.trace), "{:?}", straggler);
+        }
     }
 }

@@ -1,14 +1,19 @@
 //! Sharded vs. unsharded equivalence: scatter-gather over N
 //! hash-partitioned shards must return byte-for-byte the same result
 //! set as a single segmented index over the same zipf corpus — for any
-//! query AST, for N ∈ {1, 2, 4, 8}, and identically whether queries run
-//! sequentially or from 8 concurrent threads.
+//! query AST, for N ∈ {1, 2, 4, 8}, under every straggler policy, and
+//! identically whether queries run sequentially or from 8 concurrent
+//! threads.
 
 use airphant::{
     AirphantConfig, Query, QueryOptions, SearchHit, SegmentManager, ShardRouter, ShardedSearcher,
+    Straggler,
 };
 use airphant_corpus::{synth::word_token, zipf, Corpus, SyntheticSpec};
-use airphant_storage::{InMemoryStore, ObjectStore};
+use airphant_storage::{
+    InMemoryStore, LatencyModel, ObjectStore, PhaseKind, QueryTrace, SimDuration,
+    SimulatedCloudStore,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -31,6 +36,28 @@ fn canonical(hits: &[SearchHit]) -> Vec<(String, u64, u32, String)> {
         .collect();
     v.sort();
     v
+}
+
+/// The straggler policy under test. Picks 3 and 4 keep both layers.
+fn policy(pick: u8, k: usize, timeout_ms: u64) -> Straggler {
+    match pick {
+        0 => Straggler::WaitAll,
+        1 => Straggler::Fastest(k),
+        2 => Straggler::Timeout(SimDuration::from_millis(timeout_ms)),
+        3 => Straggler::Fastest(2),
+        _ => Straggler::Timeout(SimDuration::from_nanos(u64::MAX)),
+    }
+}
+
+/// A trace's shape: per storage phase, its kind, requests, round trips
+/// and bytes.
+fn shape(trace: &QueryTrace) -> Vec<(PhaseKind, u64, u64, u64)> {
+    trace
+        .phases()
+        .iter()
+        .filter(|p| p.kind != PhaseKind::Compute)
+        .map(|p| (p.kind, p.requests, p.batches, p.bytes))
+        .collect()
 }
 
 /// Random AST over the zipf vocabulary from an opcode tape (the
@@ -62,7 +89,8 @@ fn ast_from_tape(tape: &[(u8, u16)]) -> Query {
 }
 
 /// One zipf corpus, one unsharded segmented reference, and a sharded
-/// layout per shard count — all in one shared in-memory store.
+/// layout per shard count — all in one shared store with heavy-tailed
+/// simulated first bytes, so straggler policies have layers to drop.
 struct Env {
     flat: airphant::SegmentedSearcher,
     sharded: Vec<(usize, ShardedSearcher)>,
@@ -71,7 +99,11 @@ struct Env {
 }
 
 fn build_env(n_docs: u64, corpus_seed: u64, build_seed: u64) -> Env {
-    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let store: Arc<dyn ObjectStore> = Arc::new(SimulatedCloudStore::new(
+        InMemoryStore::new(),
+        LatencyModel::builder().long_tail(0.3, 1.1).build(),
+        corpus_seed,
+    ));
     let spec = SyntheticSpec {
         n_docs,
         n_vocab: 60,
@@ -99,7 +131,8 @@ fn build_env(n_docs: u64, corpus_seed: u64, build_seed: u64) -> Env {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Any AST, any shard count: identical result sets, byte for byte.
+    /// Any AST, any shard count, any straggler policy: identical result
+    /// sets, byte for byte.
     #[test]
     fn sharded_equals_unsharded_for_any_ast(
         n_docs in 40u64..160,
@@ -109,15 +142,33 @@ proptest! {
             prop::collection::vec((0u8..3, 0u16..70), 1..10),
             1..6,
         ),
+        pick in 0u8..5,
+        k in 1usize..3,
+        timeout_ms in 0u64..120,
     ) {
         let env = build_env(n_docs, corpus_seed, build_seed);
+        let straggler = policy(pick, k, timeout_ms);
+        let opts = QueryOptions::new().straggler(straggler);
         for tape in &tapes {
             let query = ast_from_tape(tape);
             let expected = canonical(
                 &env.flat.execute(&query, &QueryOptions::new()).unwrap().hits,
             );
             for (n, searcher) in &env.sharded {
-                let got = searcher.execute(&query, &QueryOptions::new()).unwrap();
+                let wait_all = searcher.execute(&query, &QueryOptions::new()).unwrap();
+                let got = searcher.execute(&query, &opts).unwrap();
+                prop_assert_eq!(&got.hits, &wait_all.hits, "{} shards, {:?}", n, straggler);
+                prop_assert!(got.candidates >= wait_all.candidates, "{} shards", n);
+                prop_assert_eq!(
+                    got.trace.round_trips_of(PhaseKind::Postings),
+                    wait_all.trace.round_trips_of(PhaseKind::Postings),
+                    "{} shards: still at most one postings round trip",
+                    n
+                );
+                prop_assert!(got.trace.round_trips_of(PhaseKind::Postings) <= 1);
+                if pick == 0 || pick >= 3 {
+                    prop_assert_eq!(shape(&got.trace), shape(&wait_all.trace));
+                }
                 prop_assert_eq!(
                     canonical(&got.hits),
                     expected.clone(),
