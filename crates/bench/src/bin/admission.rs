@@ -13,8 +13,9 @@
 //! 2. **Concurrency check**: burst all 10k arrivals at t=0 through a
 //!    4-thread executor and assert `peak_in_flight ≥ 10_000` — 10k
 //!    queries in flight over ≤ 8 OS threads, the tentpole claim.
-//! 3. **Equality check**: the async path must return byte-for-byte the
-//!    same hits as the sync worker-pool path on an identical workload.
+//! 3. **Equality check**: the open-loop, caller-pumped front end must
+//!    return byte-for-byte the same hits as the closed-loop, threaded
+//!    [`QueryServer`] on an identical workload.
 //!
 //! Exit-coded: any failed check exits non-zero, like the other gated
 //! benches.
@@ -207,7 +208,7 @@ fn main() {
         }
     }
 
-    // Phase 3: async results == sync worker-pool results, byte for byte.
+    // Phase 3: open-loop results == closed-loop results, byte for byte.
     {
         let searcher = open_searcher(&env, 44);
         let queries: Vec<Query> = workload.iter().take(200).map(Query::term).collect();
@@ -250,7 +251,7 @@ fn main() {
             mismatches
         );
         if mismatches > 0 {
-            eprintln!("FAIL: async results diverged from the sync worker pool");
+            eprintln!("FAIL: async results diverged from the closed-loop QueryServer");
             ok = false;
         }
     }

@@ -116,7 +116,7 @@ fn main() {
             }
         }
 
-        // --- Served throughput: closed loop through the worker pool. ---
+        // --- Served throughput: closed loop through a QueryServer. ---
         let server = QueryServer::start(
             Arc::new(router.open_searcher().expect("open for serving")),
             ServerConfig::new()

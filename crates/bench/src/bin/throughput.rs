@@ -1,8 +1,8 @@
 //! Concurrent-serving throughput: the scalability companion to Figure 15.
 //!
 //! Closed-loop load generation over the zipf corpus through a
-//! [`QueryServer`]: a fixed worker pool over ONE shared engine and ONE
-//! shared byte-budgeted cache, swept across worker counts (1→32) and
+//! [`QueryServer`]: W executor threads of the serving core over ONE
+//! shared engine and ONE shared byte-budgeted cache, swept across worker counts (1→32) and
 //! cache budgets, for Airphant vs. the inverted-index (Lucene-like) and
 //! SQLite-like baselines. Queries are drawn frequency-weighted, so the
 //! zipf skew makes the shared cache progressively hotter.

@@ -116,13 +116,14 @@ the superseded generation's blobs right after the cutover; omit it
 while readers may still hold the old layout (their queries keep
 working against the old blobs until they reopen).
 
-bench-serve drives a closed-loop workload through a QueryServer (a fixed
-worker pool over one shared Searcher and one shared byte-budgeted cache,
-on a simulated gcs-like cloud link) and prints throughput + tail latency.
+bench-serve drives a closed-loop workload through a QueryServer (--workers
+executor threads over one shared Searcher and one shared byte-budgeted
+cache, on a simulated gcs-like cloud link) and prints throughput + tail
+latency.
 The workload cycles the given WORDs, or samples the vocabulary of
 --corpus PREFIX when no WORDs are given.
 
---clients N switches bench-serve to the *async* admission-controlled
+--clients N switches bench-serve to the open-loop front end of the same
 core (docs/adr/006-async-admission-core.md): N simulated clients submit
 at once and suspend as event-driven state machines over --workers
 executor threads, with --queue capping the admitted in-flight set
@@ -825,7 +826,7 @@ fn parse_priority_mix(mix: &str) -> Result<Vec<Priority>, String> {
     Ok(pattern)
 }
 
-/// The latency/cache lines shared by the sync and async bench-serve
+/// The latency/cache lines shared by the closed- and open-loop bench-serve
 /// report.
 fn print_latency_and_cache(stats: &ServerStats) {
     println!(
@@ -896,7 +897,7 @@ fn bench_serve(args: &mut Args) -> Result<(), String> {
     if let Some(clients) = clients {
         if coalesce {
             return Err(
-                "--coalesce applies to the sync worker pool; drop it with --clients".into(),
+                "--coalesce applies to the closed-loop server; drop it with --clients".into(),
             );
         }
         return bench_serve_async(BenchServeAsync {
@@ -920,7 +921,7 @@ fn bench_serve(args: &mut Args) -> Result<(), String> {
 
     // The serving stack: local blobs → simulated cloud link → (optional
     // cross-query I/O scheduler) → one shared byte-budgeted cache → one
-    // shared Searcher → the worker pool. The scheduler sits BELOW the
+    // shared Searcher → the closed-loop server. The scheduler sits BELOW the
     // cache so that only misses coalesce and fuse (ADR-005).
     let sim: Arc<dyn ObjectStore> = Arc::new(SimulatedCloudStore::new(
         store,
@@ -1020,8 +1021,8 @@ struct BenchServeAsync {
 /// query, suspended while storage batches are in flight) and print the
 /// shed/hedge counters next to the usual throughput and tail latency.
 fn bench_serve_async(p: BenchServeAsync) -> Result<(), String> {
-    // The same stack as the sync pool — local blobs → simulated cloud →
-    // one shared byte-budgeted cache — but served by the async core.
+    // The same stack as the closed-loop server — local blobs → simulated
+    // cloud → one shared byte-budgeted cache — but served open-loop.
     // The hedge replica sits BELOW the cache (a duplicate dispatch must
     // race the backend, not the cache it shares with the original).
     let sim: Arc<dyn ObjectStore> = Arc::new(SimulatedCloudStore::new(

@@ -1,13 +1,15 @@
-//! Admission control for the async serving core: priority classes,
+//! Admission control for the serving core: priority classes,
 //! per-tenant token-bucket quotas, and queue-depth/deadline-aware
 //! load-shedding.
 //!
 //! The paper's serving story assumes a cooperative workload; a
-//! production front-end does not get that luxury. Under overload the
-//! bounded queue of the sync [`QueryServer`](crate::serve::QueryServer)
-//! degrades bluntly — every submitter sees the same untyped
-//! `QueryServer` back-pressure regardless of how important its query is.
-//! This module makes overload *graceful* instead:
+//! production front-end does not get that luxury. A single bounded
+//! queue degrades bluntly under overload — every submitter sees the
+//! same back-pressure regardless of how important its query is. This
+//! module makes overload *graceful* instead (the closed-loop
+//! [`QueryServer`](crate::serve::QueryServer) uses only its hard cap:
+//! it admits everything as [`Priority::High`] under a `workers +
+//! queue_capacity` budget):
 //!
 //! * **Priority classes** ([`Priority`]) partition the in-flight budget
 //!   with per-class depth watermarks: Low work is shed first (at ~50% of
@@ -85,7 +87,7 @@ impl QuotaConfig {
 #[derive(Debug, Clone)]
 pub struct AdmissionConfig {
     /// Hard cap on concurrently admitted (in-flight) queries. This is a
-    /// *memory* bound, not a thread bound: the async core suspends
+    /// *memory* bound, not a thread bound: the serving core suspends
     /// queries on the virtual clock, so tens of thousands can be in
     /// flight over a handful of OS threads.
     pub max_in_flight: usize,
@@ -179,8 +181,8 @@ struct Bucket {
 
 /// Depth-, quota-, and deadline-aware admission over the virtual clock.
 ///
-/// Not internally synchronized: the async server drives it under its own
-/// scheduler lock, and unit tests drive it directly.
+/// Not internally synchronized: the serving core drives it under its
+/// own scheduler lock, and unit tests drive it directly.
 #[derive(Debug)]
 pub struct AdmissionController {
     config: AdmissionConfig,

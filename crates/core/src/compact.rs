@@ -68,8 +68,9 @@ pub struct CompactionPolicy {
     /// generation but removes **nothing**, recording the superseded
     /// prefixes in the report for a later [`Compactor::gc_deferred`].
     /// Use this when a live [`QueryServer`](crate::QueryServer) may
-    /// still have in-flight queries on the old generation: publish →
-    /// refresh → drain → GC.
+    /// still have in-flight queries on the old generation (each query
+    /// keeps the engine it was submitted on): publish → refresh → drain
+    /// → GC.
     pub defer_gc: bool,
 }
 

@@ -20,8 +20,8 @@ use iou_sketch::PostingsList;
 /// A keyword-search engine under benchmark.
 ///
 /// Engines are `Send + Sync`: one engine instance (over one shared,
-/// byte-budgeted cache) is driven concurrently by every worker of a
-/// [`QueryServer`](crate::serve::QueryServer), so the whole read path must
+/// byte-budgeted cache) is driven concurrently by every executor thread
+/// of the serving core ([`crate::serve`]), so the whole read path must
 /// be shareable across threads. Per-query state (the
 /// [`QueryTrace`], candidate postings, sampled fetches) lives on the
 /// calling thread's stack — implementations must not route it through
@@ -59,19 +59,31 @@ pub trait SearchEngine: Send + Sync {
     /// Total bytes of index structures this engine persisted (for the
     /// storage-usage comparisons, Figure 15b).
     fn index_bytes(&self) -> u64;
+
+    /// This engine as a [`StagedEngine`], if it can be driven in stages.
+    /// The serving core runs staged engines through the suspendable
+    /// planner halves and every other engine through one
+    /// [`SearchEngine::execute`] call. Every [`StagedEngine`] returns
+    /// `Some(self)`.
+    fn staged(&self) -> Option<&dyn StagedEngine> {
+        None
+    }
 }
 
 /// A [`SearchEngine`] whose execution can be driven in *stages* by an
 /// external scheduler: plan a storage batch, suspend while it is in
 /// flight, then complete from the fetched bytes.
 ///
-/// The async serving core ([`crate::serve::AsyncQueryServer`]) needs
-/// direct access to the per-segment [`Searcher`]s so it can run the
-/// staged planner halves in `crate::plan` itself — suspending the query
-/// on the simulated clock between dispatch and completion instead of
-/// blocking an OS thread inside [`SearchEngine::execute`]. Because both
-/// paths run the *same* staged code, async results are byte-for-byte
-/// identical to the sync worker-pool path by construction.
+/// The serving core ([`crate::serve`]) needs direct access to the
+/// per-segment [`Searcher`]s so it can run the staged planner halves in
+/// `crate::plan` itself — suspending the query on the simulated clock
+/// between dispatch and completion instead of blocking an OS thread
+/// inside [`SearchEngine::execute`]. Because both paths run the *same*
+/// staged code, served results are byte-for-byte identical to a direct
+/// [`SearchEngine::execute`] by construction.
+///
+/// Implementors must also override [`SearchEngine::staged`] to return
+/// `Some(self)`; the core picks the staged path from it.
 ///
 /// The callback shape keeps the trait object-safe while letting
 /// implementations hand out borrowed segment slices without allocating
@@ -103,6 +115,10 @@ impl SearchEngine for crate::Searcher {
     fn index_bytes(&self) -> u64 {
         // Header + superpost blocks under the index prefix.
         self.index_usage_bytes()
+    }
+
+    fn staged(&self) -> Option<&dyn StagedEngine> {
+        Some(self)
     }
 }
 
@@ -146,6 +162,10 @@ impl SearchEngine for crate::SegmentedSearcher {
 
     fn index_bytes(&self) -> u64 {
         self.segments().iter().map(|s| s.index_usage_bytes()).sum()
+    }
+
+    fn staged(&self) -> Option<&dyn StagedEngine> {
+        Some(self)
     }
 }
 

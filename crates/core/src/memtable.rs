@@ -14,7 +14,7 @@
 //!   the durable store). Because the mini-index is a real segment in all
 //!   but durability, the memtable serves queries through the *same*
 //!   staged planner (`crate::plan`) as every other segment — including
-//!   the async core's suspend/resume halves via [`StagedEngine`].
+//!   the serving core's suspend/resume halves via [`StagedEngine`].
 //! * [`LiveIndex`] — the read/write front. Reads see
 //!   `[durable segments…, sealed batches…, active batch]`, exactly the
 //!   segment order a post-flush manifest produces; writes go to the
@@ -281,6 +281,10 @@ impl SearchEngine for Memtable {
             .usage(&format!("{}/", self.index_prefix))
             .unwrap_or(0)
     }
+
+    fn staged(&self) -> Option<&dyn StagedEngine> {
+        Some(self)
+    }
 }
 
 impl StagedEngine for Memtable {
@@ -316,9 +320,10 @@ struct LiveState {
 /// immediately, group-commit flushes make them durable, and results are
 /// byte-for-byte what a post-flush search returns.
 ///
-/// Implements [`SearchEngine`] and [`StagedEngine`], so both the sync
-/// [`QueryServer`](crate::QueryServer) and the async
-/// [`AsyncQueryServer`](crate::AsyncQueryServer) serve it directly.
+/// Implements [`SearchEngine`] and [`StagedEngine`], so both serving
+/// front ends — the closed-loop [`QueryServer`](crate::QueryServer) and
+/// the open-loop [`AsyncQueryServer`](crate::AsyncQueryServer) — serve
+/// it through the staged planner directly.
 pub struct LiveIndex {
     tail: Arc<TailStore>,
     mgr: SegmentManager,
@@ -587,11 +592,15 @@ impl SearchEngine for LiveIndex {
             .sum();
         durable + self.tail.staged_bytes()
     }
+
+    fn staged(&self) -> Option<&dyn StagedEngine> {
+        Some(self)
+    }
 }
 
 impl StagedEngine for LiveIndex {
     fn with_segments(&self, f: &mut dyn FnMut(&[&Searcher])) {
-        // The callback MUST be invoked (the async core relies on it); if
+        // The callback MUST be invoked (the serving core relies on it); if
         // a staged build errors, degrade to the durable snapshot.
         if self.with_all_segments(|refs| f(refs)).is_err() {
             let st = self.lock_read();

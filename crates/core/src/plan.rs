@@ -40,11 +40,11 @@ pub(crate) type SegmentAtomPostings = Vec<HashMap<String, PostingsList>>;
 /// superposts intersect to that atom's postings.
 ///
 /// Splitting the plan from its completion lets a driver *suspend* between
-/// dispatching `requests` and decoding the returned batch; the async
-/// serving core ([`crate::serve::AsyncQueryServer`]) parks the query on
-/// the simulated clock during that window while the sync path simply
-/// calls straight through. Both paths share this code, so their results
-/// are byte-for-byte identical by construction.
+/// dispatching `requests` and decoding the returned batch; the serving
+/// core ([`crate::serve`]) parks the query on the simulated clock during
+/// that window while a direct `execute` simply calls straight through.
+/// Both paths share this code, so their results are byte-for-byte
+/// identical by construction.
 pub(crate) struct PostingsPlan {
     /// Deduplicated ranged reads covering every atom in every segment.
     pub(crate) requests: Vec<RangeRequest>,
@@ -174,9 +174,9 @@ pub(crate) fn keep_parts(
 /// Complete the postings phase from a fetched batch: decode each distinct
 /// kept range at most once, intersect per atom, and charge the decode
 /// work as compute on `trace`. `kept` is [`keep_parts`]'s answer (`None`
-/// keeps every part). The caller records the batch itself (the sync path
-/// in [`lookup_atoms`], the async driver with its possibly-hedged
-/// wait). When the plan had no requests, `batch` may be empty and every
+/// keeps every part). The caller records the batch itself (a direct
+/// `execute` in [`lookup_atoms`], the serving core with its
+/// possibly-hedged wait). When the plan had no requests, `batch` may be empty and every
 /// segment resolves to an empty map.
 pub(crate) fn complete_postings(
     plan: &PostingsPlan,
@@ -336,7 +336,8 @@ pub(crate) fn plan_documents(
 /// fetched candidate documents (perfect precision, §III-C) and assemble
 /// the final [`SearchResult`]. `batch` must be `Some` exactly when the
 /// plan had requests; the caller records the batch on `trace` before
-/// calling (sync and async drivers charge different waits).
+/// calling (a direct execute and the serving core charge different
+/// waits).
 ///
 /// This intentionally does not reuse `retrieval::fetch_and_filter`: that
 /// helper issues its own `get_ranges` per call with a single blob
@@ -399,7 +400,7 @@ pub(crate) fn complete_documents(
 /// boolean evaluation, one document batch, exact verify. This is the
 /// synchronous driver over the staged halves
 /// ([`plan_postings`]/[`complete_postings`],
-/// [`plan_documents`]/[`complete_documents`]); the async serving core
+/// [`plan_documents`]/[`complete_documents`]); the serving core
 /// drives the *same* stages with suspension points between dispatch and
 /// completion.
 pub(crate) fn execute_over(

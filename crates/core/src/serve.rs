@@ -1,35 +1,59 @@
-//! Concurrent query serving: a worker pool over one shared read path.
+//! Query serving: one event-driven core, two front ends.
 //!
 //! The paper positions Airphant as a cloud index for read-oriented
 //! workloads under "heavy traffic from millions of users": Searchers are
 //! lightweight and stateless, so a serving node scales by pointing many
-//! query threads at one shared [`SearchEngine`] (usually a
+//! queries at one shared [`SearchEngine`] (usually a
 //! [`Searcher`](crate::Searcher) over a shared byte-budgeted
-//! [`CachedStore`](airphant_storage::CachedStore)). [`QueryServer`] is
-//! that serving node:
+//! [`CachedStore`](airphant_storage::CachedStore)), each query paying one
+//! postings batch and one documents batch (§III-C).
 //!
-//! * a **fixed worker pool** drains a **bounded submission queue**; when
-//!   the queue is full, [`QueryServer::try_submit`] rejects with the typed
-//!   [`SubmitError::QueueFull`] (backpressure instead of unbounded memory);
-//! * an optional **per-query deadline** on the simulated clock: queries
-//!   whose end-to-end simulated latency exceeds it surface
-//!   [`StorageError::Timeout`] to the caller and count as timed out;
-//! * aggregate [`ServerStats`]: throughput, tail latency, cache hit rate,
-//!   rejected/timed-out counts;
-//! * a **swappable engine slot**: [`QueryServer::refresh`] installs a
-//!   fresh engine (e.g. a reopened
+//! ## The core
+//!
+//! One core executes every query. Storage latencies in this reproduction
+//! are *data, not sleeps* (see `airphant-storage`), so the core is a
+//! discrete-event loop on the simulated clock: a query whose batch is in
+//! flight waits on an event heap, not on an OS thread. The core
+//!
+//! * runs a [`StagedEngine`] (see [`SearchEngine::staged`]) through the
+//!   staged planner halves in `crate::plan`, suspending between dispatch
+//!   and completion; every other engine (the baselines,
+//!   [`ShardedSearcher`](crate::ShardedSearcher), test doubles) runs one
+//!   [`SearchEngine::execute`] on an executor thread and finishes at
+//!   `arrival + trace.total()`;
+//! * holds a **swappable engine slot**: every query keeps the engine it
+//!   was submitted on, so a refresh (e.g. a reopened
 //!   [`SegmentedSearcher`](crate::SegmentedSearcher) after an append or
-//!   compaction) with zero downtime — in-flight queries finish on the
-//!   generation they started on, later queries see the new one.
+//!   compaction) has zero downtime and in-flight queries finish on their
+//!   own generation;
+//! * contains engine panics: the query fails with an error and the
+//!   executor thread keeps serving;
+//! * enforces an optional **per-query deadline** on the simulated service
+//!   time: later queries surface [`StorageError::Timeout`] and count as
+//!   timed out;
+//! * admits through an [`AdmissionController`] and can hedge straggling
+//!   batches ([`HedgeConfig`]).
+//!
+//! ## Two front ends
+//!
+//! * [`AsyncQueryServer`] — **open loop**: callers submit at virtual
+//!   arrival times, admission sheds with typed
+//!   [`SubmitError::Overloaded`], and latency is the sojourn from arrival
+//!   to completion.
+//! * [`QueryServer`] — **closed loop**: `workers` executor threads and at
+//!   most `workers + queue_capacity` queries in flight.
+//!   [`QueryServer::try_submit`] rejects past that with
+//!   [`SubmitError::QueueFull`] and [`QueryServer::submit`] blocks
+//!   (backpressure instead of unbounded memory).
 //!
 //! ## Throughput on the virtual clock
 //!
-//! Storage latencies in this reproduction are *data, not sleeps* (see
-//! `airphant-storage`), so serving throughput is also reported on the
-//! simulated clock: the server replays the completed queries' simulated
-//! latencies through `workers` model servers (each serving one query at a
-//! time, every finished query immediately replaced by the next — a closed
-//! loop) and derives QPS from that makespan. This keeps throughput
+//! Serving throughput is reported on the simulated clock too. The
+//! closed-loop front end replays the served queries' simulated service
+//! times through `workers` model servers (each serving one query at a
+//! time, every finished query immediately replaced by the next) and
+//! derives QPS from that makespan; the open-loop front end divides by the
+//! span from first arrival to last completion. This keeps throughput
 //! numbers deterministic under a seed and independent of the host's core
 //! count; wall-clock QPS is reported alongside.
 
@@ -50,8 +74,7 @@ use airphant_storage::{
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -59,9 +82,11 @@ use std::time::Instant;
 /// Sizing and policy knobs for a [`QueryServer`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads draining the queue (each runs whole queries).
+    /// Executor threads, and the model servers of the closed-loop
+    /// throughput model.
     pub workers: usize,
-    /// Bounded submission-queue capacity; a full queue rejects.
+    /// Queries that may wait beyond the `workers` being served: past
+    /// `workers + queue_capacity` in flight, submissions are refused.
     pub queue_capacity: usize,
     /// Per-query deadline on the simulated clock; `None` disables it.
     pub deadline: Option<SimDuration>,
@@ -83,13 +108,13 @@ impl ServerConfig {
         Self::default()
     }
 
-    /// Set the worker-pool size.
+    /// Set the executor thread count.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
         self
     }
 
-    /// Set the bounded queue capacity.
+    /// Set how many queries may wait beyond the served ones.
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
@@ -111,7 +136,8 @@ impl ServerConfig {
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum SubmitError {
-    /// The bounded submission queue is full — shed load or retry later.
+    /// A [`QueryServer`] already holds `workers + queue_capacity`
+    /// queries — shed load or retry later.
     QueueFull {
         /// The configured queue capacity that was exhausted.
         capacity: usize,
@@ -145,106 +171,22 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// A pending query's completion handle.
+/// A pending [`QueryServer`] query's completion handle.
 pub struct Ticket {
-    rx: Receiver<Result<SearchResult>>,
+    inner: AsyncTicket,
 }
 
 impl Ticket {
     /// Block until the query completes and return its result. Deadline
     /// violations arrive as [`StorageError::Timeout`].
     pub fn wait(self) -> Result<SearchResult> {
-        self.rx
-            .recv()
-            .unwrap_or_else(|_| panic!("query server worker dropped the reply channel"))
-    }
-}
-
-struct Job {
-    query: Query,
-    opts: QueryOptions,
-    reply: SyncSender<Result<SearchResult>>,
-}
-
-/// State shared between the handle and the worker threads.
-struct Shared {
-    /// The swappable engine slot: queries clone the current `Arc` under a
-    /// read lock and execute unlocked, so [`QueryServer::refresh`] can
-    /// install a fresh engine (a reopened
-    /// [`SegmentedSearcher`](crate::SegmentedSearcher) after an append or
-    /// compaction) with zero downtime — in-flight queries finish on the
-    /// generation they started on.
-    engine: RwLock<Arc<dyn SearchEngine>>,
-    deadline: Option<SimDuration>,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    timed_out: AtomicU64,
-    failed: AtomicU64,
-    refreshes: AtomicU64,
-    /// Per-completed-query `(lookup wait, end-to-end)` simulated samples.
-    samples: Mutex<Vec<(SimDuration, SimDuration)>>,
-}
-
-impl Shared {
-    /// Snapshot the current engine (one atomic refcount bump; the write
-    /// lock is only ever held for the pointer swap in `refresh`).
-    fn engine(&self) -> Arc<dyn SearchEngine> {
-        self.engine
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
-    }
-
-    fn serve(&self, job: Job) {
-        let engine = self.engine();
-        // Contain engine panics: the worker must survive (a 1-worker pool
-        // would otherwise stop serving and strand every queued ticket)
-        // and the caller gets an error, not a dropped reply channel.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.execute(&job.query, &job.opts)
-        }))
-        .unwrap_or_else(|panic| {
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
-            Err(AirphantError::Storage(StorageError::Io(
-                std::io::Error::other(format!("query execution panicked: {msg}")),
-            )))
-        });
-        let reply = match outcome {
-            Ok(result) => {
-                let total = result.trace.total();
-                // The worker spent this simulated time whether or not the
-                // query beat its deadline, so timed-out queries stay in
-                // the samples: percentiles report the true served tail
-                // (not censored at the deadline) and the closed-loop
-                // makespan charges the wasted service time.
-                self.samples
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .push((result.trace.wait(), total));
-                match self.deadline {
-                    Some(deadline) if total > deadline => {
-                        self.timed_out.fetch_add(1, Ordering::Relaxed);
-                        Err(AirphantError::Storage(StorageError::Timeout {
-                            name: format!("query missed its {deadline} deadline (took {total})"),
-                        }))
-                    }
-                    _ => {
-                        self.completed.fetch_add(1, Ordering::Relaxed);
-                        Ok(result)
-                    }
-                }
-            }
-            Err(e) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                Err(e)
-            }
-        };
-        // The ticket may have been dropped; serving already happened.
-        let _ = job.reply.send(reply);
+        match self.inner.wait().result {
+            Ok(result) => Ok(result),
+            Err(ServeError::Failed(e)) => Err(e),
+            // QueryServer admits at submission; no admitted query is
+            // rejected later.
+            Err(ServeError::Rejected(e)) => unreachable!("admitted query rejected: {e}"),
+        }
     }
 }
 
@@ -252,11 +194,14 @@ impl Shared {
 /// model).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServerStats {
-    /// Worker-pool size the numbers are modeled for.
+    /// Executor threads serving the queries (for [`QueryServer`], also
+    /// the closed-loop model servers).
     pub workers: usize,
     /// Queries answered successfully.
     pub completed: u64,
-    /// Submissions rejected by backpressure ([`SubmitError::QueueFull`]).
+    /// Submissions rejected: [`SubmitError::QueueFull`] from
+    /// [`QueryServer::try_submit`], [`SubmitError::Overloaded`] from the
+    /// async admission path.
     pub rejected: u64,
     /// Queries past the simulated deadline.
     pub timed_out: u64,
@@ -264,8 +209,10 @@ pub struct ServerStats {
     pub failed: u64,
     /// Engine swaps installed via [`QueryServer::refresh`].
     pub refreshes: u64,
-    /// Simulated closed-loop makespan of every *served* query — including
-    /// timed-out ones, whose service time the workers still spent.
+    /// Simulated makespan of every *served* query — including timed-out
+    /// ones, whose service time was still spent. Closed-loop for
+    /// [`QueryServer`]; first arrival to last completion for
+    /// [`AsyncQueryServer`].
     pub sim_makespan: SimDuration,
     /// Successfully completed queries per simulated second (timed-out
     /// service time counts against the makespan but not the numerator).
@@ -278,7 +225,9 @@ pub struct ServerStats {
     pub wait_p95_ms: f64,
     /// 99th-percentile simulated lookup wait, ms.
     pub wait_p99_ms: f64,
-    /// Median simulated end-to-end latency, ms.
+    /// Median simulated end-to-end latency, ms: service time for
+    /// [`QueryServer`], arrival-to-completion sojourn for
+    /// [`AsyncQueryServer`].
     pub latency_p50_ms: f64,
     /// 95th-percentile simulated end-to-end latency, ms.
     pub latency_p95_ms: f64,
@@ -290,20 +239,20 @@ pub struct ServerStats {
     /// ([`CoalescingStore`](airphant_storage::CoalescingStore)), when one
     /// is attached: merged ranges, fused cross-query batches, bytes saved.
     pub scheduler: Option<SchedulerStats>,
-    /// Peak concurrently in-flight queries. For the sync worker pool this
-    /// is bounded by `workers`; the async core reports the true peak of
-    /// suspended queries (tens of thousands over a handful of threads).
+    /// Peak concurrently admitted queries: at most `workers +
+    /// queue_capacity` for [`QueryServer`]; for [`AsyncQueryServer`] the
+    /// true peak of suspended queries (tens of thousands over a handful of
+    /// threads).
     pub peak_in_flight: u64,
     /// Hedged duplicate storage batches dispatched
-    /// ([`AsyncQueryServer`] only; 0 for the sync pool).
+    /// ([`AsyncQueryServer`] with a [`HedgeConfig`] only; 0 otherwise).
     pub hedges: u64,
-    /// Hedges whose duplicate beat the original request
-    /// ([`AsyncQueryServer`] only; 0 for the sync pool).
+    /// Hedges whose duplicate beat the original request.
     pub hedge_wins: u64,
     /// Primary (non-hedge) storage batches dispatched — the denominator
     /// the hedge budget is enforced against: `hedges <= budget_fraction *
-    /// primary_dispatches` always holds ([`AsyncQueryServer`] only; 0 for
-    /// the sync pool).
+    /// primary_dispatches` always holds. Only staged engines dispatch
+    /// batches.
     pub primary_dispatches: u64,
     /// Hedges re-dispatched to the next-nearest *region* of an attached
     /// [`ReplicatedStore`] (a subset of `hedges`;
@@ -313,8 +262,9 @@ pub struct ServerStats {
     /// per-region read routing, demotions, recoveries — when a region
     /// backend is attached ([`AsyncQueryServer`] only; `None` otherwise).
     pub replication: Option<ReplicationStats>,
-    /// Admission-control counters ([`AsyncQueryServer`] only; `None` for
-    /// the sync pool, whose backpressure is the bounded queue).
+    /// Admission-control counters. [`QueryServer`] admits as the High
+    /// class under a `workers + queue_capacity` cap, so its
+    /// [`SubmitError::QueueFull`] rejections count as `shed_high`.
     pub admission: Option<AdmissionStats>,
 }
 
@@ -339,7 +289,8 @@ fn percentile(sorted: &[SimDuration], q: f64) -> f64 {
 }
 
 /// Closed-loop makespan of serving `latencies` on `workers` model servers:
-/// each query goes to the earliest-free server, in completion order.
+/// each query goes to the earliest-free server, in the order given
+/// ([`QueryServer::stats`] passes them sorted ascending).
 fn closed_loop_makespan(latencies: &[SimDuration], workers: usize) -> SimDuration {
     let workers = workers.max(1);
     // Min-heap of server free times (BinaryHeap is a max-heap: reverse).
@@ -356,151 +307,124 @@ fn closed_loop_makespan(latencies: &[SimDuration], workers: usize) -> SimDuratio
     makespan
 }
 
-/// A fixed pool of query workers over one shared engine.
+/// Closed-loop front end over the serving core: `workers` executor
+/// threads over one shared engine, at most `workers + queue_capacity`
+/// queries in flight.
 ///
-/// Dropping the server shuts it down: the queue closes and the workers are
-/// joined (pending queries are still served first).
+/// Dropping the server shuts it down (queries already submitted are still
+/// served first).
 pub struct QueryServer {
-    shared: Arc<Shared>,
-    sender: Option<SyncSender<Job>>,
-    workers: Vec<JoinHandle<()>>,
+    core: AsyncQueryServer,
     queue_capacity: usize,
-    started: Instant,
-    cache_stats: Option<Box<dyn Fn() -> (u64, u64) + Send + Sync>>,
-    scheduler_stats: Option<Box<dyn Fn() -> SchedulerStats + Send + Sync>>,
-    config_workers: usize,
 }
 
 impl QueryServer {
-    /// Spawn the worker pool over `engine`.
+    /// Start `workers` executor threads over `engine`.
     pub fn start(engine: Arc<dyn SearchEngine>, config: ServerConfig) -> Self {
         assert!(config.workers >= 1, "a server needs at least one worker");
         assert!(config.queue_capacity >= 1, "queue capacity must be >= 1");
-        let shared = Arc::new(Shared {
-            engine: RwLock::new(engine),
-            deadline: config.deadline,
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            timed_out: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            refreshes: AtomicU64::new(0),
-            samples: Mutex::new(Vec::new()),
-        });
-        let (tx, rx) = sync_channel::<Job>(config.queue_capacity);
-        let rx = Arc::new(Mutex::new(rx));
-        let workers = (0..config.workers)
-            .map(|i| {
-                let shared = shared.clone();
-                let rx = rx.clone();
-                std::thread::Builder::new()
-                    .name(format!("airphant-serve-{i}"))
-                    .spawn(move || loop {
-                        // Hold the receiver lock only for the dequeue; the
-                        // query itself runs unlocked, so workers overlap.
-                        let job = {
-                            let guard = rx.lock().unwrap_or_else(|e| e.into_inner());
-                            guard.recv()
-                        };
-                        match job {
-                            Ok(job) => shared.serve(job),
-                            Err(_) => return, // queue closed: shut down
-                        }
-                    })
-                    .expect("spawn query worker")
-            })
-            .collect();
+        let core = AsyncQueryServer::start(
+            engine,
+            AsyncServerConfig {
+                executor_threads: config.workers,
+                storage_slots: 0,
+                deadline: config.deadline,
+                admission: AdmissionConfig::with_max_in_flight(
+                    config.workers + config.queue_capacity,
+                ),
+                hedge: None,
+            },
+        );
         QueryServer {
-            shared,
-            sender: Some(tx),
-            workers,
+            core,
             queue_capacity: config.queue_capacity,
-            started: Instant::now(),
-            cache_stats: None,
-            scheduler_stats: None,
-            config_workers: config.workers,
         }
     }
 
     /// Attach a shared-cache counter source (e.g.
     /// `move || cache.hit_stats()`) so [`ServerStats::cache`] is populated.
-    pub fn with_cache_stats(
-        mut self,
-        stats: impl Fn() -> (u64, u64) + Send + Sync + 'static,
-    ) -> Self {
-        self.cache_stats = Some(Box::new(stats));
-        self
+    pub fn with_cache_stats(self, stats: impl Fn() -> (u64, u64) + Send + Sync + 'static) -> Self {
+        QueryServer {
+            core: self.core.with_cache_stats(stats),
+            ..self
+        }
     }
 
     /// Attach a shared I/O-scheduler counter source (e.g.
     /// `move || scheduler.stats()`) so [`ServerStats::scheduler`] is
     /// populated.
     pub fn with_scheduler_stats(
-        mut self,
+        self,
         stats: impl Fn() -> SchedulerStats + Send + Sync + 'static,
     ) -> Self {
-        self.scheduler_stats = Some(Box::new(stats));
-        self
+        QueryServer {
+            core: self.core.with_scheduler_stats(stats),
+            ..self
+        }
     }
 
     /// Swap in a fresh engine with zero downtime: queries already
-    /// executing finish on the engine they started with; every query
-    /// dequeued after this call runs on `engine`. This is the live-index
+    /// submitted finish on the engine they were submitted on; every query
+    /// submitted after this call runs on `engine`. This is the live-index
     /// refresh hook — after a
     /// [`SegmentManager::append`](crate::SegmentManager::append) or a
     /// [`Compactor::compact`](crate::Compactor::compact), reopen the
     /// segmented searcher and install it here instead of restarting the
     /// server.
     pub fn refresh(&self, engine: Arc<dyn SearchEngine>) {
-        *self
-            .shared
-            .engine
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = engine;
-        self.shared.refreshes.fetch_add(1, Ordering::Relaxed);
+        let mut core = self.core.shared.lock_core();
+        core.engine = engine;
+        core.refreshes += 1;
     }
 
     /// The engine currently serving queries (the latest
     /// [`QueryServer::refresh`], or the one passed to
     /// [`QueryServer::start`]).
     pub fn engine(&self) -> Arc<dyn SearchEngine> {
-        self.shared.engine()
+        self.core.shared.lock_core().engine.clone()
     }
 
-    /// Enqueue a query without blocking. A full queue rejects with
-    /// [`SubmitError::QueueFull`] and counts toward
-    /// [`ServerStats::rejected`].
+    /// Submit without blocking. With `workers + queue_capacity` queries
+    /// already in flight this rejects with [`SubmitError::QueueFull`],
+    /// counted in [`ServerStats::rejected`].
     pub fn try_submit(
         &self,
         query: Query,
         opts: QueryOptions,
     ) -> std::result::Result<Ticket, SubmitError> {
-        let (reply, rx) = sync_channel(1);
-        let job = Job { query, opts, reply };
-        let sender = self.sender.as_ref().ok_or(SubmitError::ShutDown)?;
-        match sender.try_send(job) {
-            Ok(()) => Ok(Ticket { rx }),
-            Err(TrySendError::Full(_)) => {
-                self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                Err(SubmitError::QueueFull {
-                    capacity: self.queue_capacity,
-                })
-            }
-            Err(TrySendError::Disconnected(_)) => Err(SubmitError::ShutDown),
+        let mut core = self.core.shared.lock_core();
+        match self.core.admit(&mut core, query, opts, Self::spec()) {
+            Ok(inner) => Ok(Ticket { inner }),
+            Err(SubmitError::Overloaded { .. }) => Err(SubmitError::QueueFull {
+                capacity: self.queue_capacity,
+            }),
+            Err(e) => Err(e),
         }
     }
 
-    /// Enqueue a query, blocking while the queue is full (closed-loop
-    /// submission: the caller inherits the backpressure).
+    /// Submit, blocking while `workers + queue_capacity` queries are in
+    /// flight (closed-loop submission: the caller inherits the
+    /// backpressure, and waiting is not a rejection).
     pub fn submit(
         &self,
         query: Query,
         opts: QueryOptions,
     ) -> std::result::Result<Ticket, SubmitError> {
-        let (reply, rx) = sync_channel(1);
-        let job = Job { query, opts, reply };
-        let sender = self.sender.as_ref().ok_or(SubmitError::ShutDown)?;
-        sender.send(job).map_err(|_| SubmitError::ShutDown)?;
-        Ok(Ticket { rx })
+        let shared = &self.core.shared;
+        let mut core = shared.lock_core();
+        while !core.shutting_down
+            && core.admission.in_flight() >= core.admission.config().max_in_flight
+        {
+            core = shared.cv.wait(core).unwrap_or_else(|e| e.into_inner());
+        }
+        let inner = self.core.admit(&mut core, query, opts, Self::spec())?;
+        Ok(Ticket { inner })
+    }
+
+    /// Every submission takes the High class, whose admission limit is
+    /// the whole `workers + queue_capacity` budget.
+    fn spec() -> SubmitSpec {
+        SubmitSpec::new().with_class(Priority::High)
     }
 
     /// Submit and wait: the blocking convenience used by tests and the
@@ -511,80 +435,24 @@ impl QueryServer {
             .wait()
     }
 
-    /// Snapshot the aggregate serving statistics.
+    /// Snapshot the aggregate serving statistics under the closed-loop
+    /// model: latency percentiles over per-query service times, and
+    /// `qps_sim` from those service times replayed through `workers`
+    /// model servers.
     pub fn stats(&self) -> ServerStats {
-        let samples = self
-            .shared
-            .samples
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone();
-        let mut waits: Vec<SimDuration> = samples.iter().map(|&(w, _)| w).collect();
-        let mut totals: Vec<SimDuration> = samples.iter().map(|&(_, t)| t).collect();
-        waits.sort();
-        totals.sort();
-        let completed = self.shared.completed.load(Ordering::Relaxed);
-        let sim_makespan = closed_loop_makespan(&totals, self.config_workers);
-        let sim_secs = sim_makespan.as_secs_f64();
-        let wall_secs = self.started.elapsed().as_secs_f64();
-        ServerStats {
-            workers: self.config_workers,
-            completed,
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            timed_out: self.shared.timed_out.load(Ordering::Relaxed),
-            failed: self.shared.failed.load(Ordering::Relaxed),
-            refreshes: self.shared.refreshes.load(Ordering::Relaxed),
-            sim_makespan,
-            qps_sim: if sim_secs > 0.0 {
-                completed as f64 / sim_secs
-            } else {
-                0.0
-            },
-            qps_wall: if wall_secs > 0.0 {
-                completed as f64 / wall_secs
-            } else {
-                0.0
-            },
-            wait_p50_ms: percentile(&waits, 0.50),
-            wait_p95_ms: percentile(&waits, 0.95),
-            wait_p99_ms: percentile(&waits, 0.99),
-            latency_p50_ms: percentile(&totals, 0.50),
-            latency_p95_ms: percentile(&totals, 0.95),
-            latency_p99_ms: percentile(&totals, 0.99),
-            cache: self.cache_stats.as_ref().map(|f| f()),
-            scheduler: self.scheduler_stats.as_ref().map(|f| f()),
-            peak_in_flight: self.config_workers as u64,
-            hedges: 0,
-            hedge_wins: 0,
-            primary_dispatches: 0,
-            region_hedges: 0,
-            replication: None,
-            admission: None,
-        }
+        self.core.snapshot(true)
     }
 
-    /// Drain the queue, stop the workers, and return the final statistics.
+    /// Serve everything already submitted, stop the executor threads,
+    /// and return the final statistics.
     pub fn shutdown(mut self) -> ServerStats {
-        self.join_workers();
+        self.core.begin_shutdown();
         self.stats()
     }
-
-    fn join_workers(&mut self) {
-        self.sender.take(); // close the queue: workers drain then exit
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
 }
 
-impl Drop for QueryServer {
-    fn drop(&mut self) {
-        self.join_workers();
-    }
-}
-
-// The server handle itself can be shared (e.g. one handle per frontend
-// thread submitting into the same pool).
+// The server handles themselves can be shared (e.g. one handle per
+// frontend thread submitting into the same server).
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<QueryServer>();
@@ -593,7 +461,7 @@ const _: () = {
 };
 
 // ---------------------------------------------------------------------------
-// Async admission-controlled serving core
+// The serving core and its open-loop front end
 // ---------------------------------------------------------------------------
 
 /// Hedged-request policy for the [`AsyncQueryServer`].
@@ -635,13 +503,12 @@ pub struct AsyncServerConfig {
     /// benches and tests).
     pub executor_threads: usize,
     /// Modeled backend concurrency: how many storage batches the cloud
-    /// store serves at once on the virtual clock (the batch-granularity
-    /// analog of the sync server's closed-loop model servers). Excess
-    /// batches queue in virtual time. `0` disables the model
-    /// (uncontended backend).
+    /// store serves at once on the virtual clock. Excess batches queue in
+    /// virtual time. `0` disables the model (uncontended backend, as
+    /// [`QueryServer`] runs it).
     pub storage_slots: usize,
     /// Per-query deadline on the *service* time (storage wait + download
-    /// + compute, same meaning as the sync server); `None` disables it.
+    /// + compute); `None` disables it.
     pub deadline: Option<SimDuration>,
     /// Admission control: priority watermarks, per-tenant quotas,
     /// deadline-aware shedding.
@@ -798,27 +665,6 @@ impl AsyncTicket {
     }
 }
 
-/// Explicit lifecycle of one in-flight query (the issue's
-/// Submitted → Planning → AwaitingStorage → Merging → Done machine).
-/// `Planning` and `Merging` are the synchronous stretches an executor
-/// thread runs between suspension points; a query only *waits* in
-/// `Submitted` (for its arrival event) and `AwaitingStorage` (for its
-/// batch's virtual completion).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FlightStage {
-    /// Queued for its arrival event.
-    Submitted,
-    /// An executor is resolving atoms and planning the next batch.
-    Planning,
-    /// Suspended: a storage batch (postings or documents) is in flight
-    /// on the virtual clock. No OS thread is held.
-    AwaitingStorage(PhaseKind),
-    /// An executor is decoding/merging a completed batch.
-    Merging,
-    /// Terminal: the reply has been delivered.
-    Done,
-}
-
 /// A storage batch in flight on the virtual clock.
 struct PendingBatch {
     kind: PhaseKind,
@@ -827,7 +673,7 @@ struct PendingBatch {
     /// The fetched bytes of the *original* dispatch. A winning hedge
     /// only shortens the timing: blobs are immutable, so the duplicate
     /// returns identical bytes and reusing the originals keeps results
-    /// byte-for-byte equal to the sync path.
+    /// byte-for-byte equal to a direct [`SearchEngine::execute`].
     batch: BatchFetch,
     /// The postings parts the query's straggler policy keeps from the
     /// winning copy; `None` waits for the whole batch. Boxed so that a
@@ -845,16 +691,20 @@ struct PendingBatch {
     hedged: bool,
 }
 
-/// One query's full state while it lives in the async core.
+/// One query's full state while it lives in the core. A query only
+/// *waits* for its arrival event or for a pending batch's (or its
+/// opaque execution's) virtual completion; between those, an executor
+/// thread runs it synchronously.
 struct Flight {
     query: Query,
     opts: QueryOptions,
     class: Priority,
     tenant: Option<String>,
     arrival: SimDuration,
-    /// Admission already granted (sync `try_submit` path).
+    /// Admission already granted (synchronous `try_submit` path).
     admitted: bool,
-    stage: FlightStage,
+    /// The engine the query was submitted on; a refresh never changes it.
+    engine: Arc<dyn SearchEngine>,
     /// Bumped when a hedge wins so the loser's completion event is
     /// recognized as stale and ignored.
     epoch: u32,
@@ -864,6 +714,9 @@ struct Flight {
     postings_plan: Option<PostingsPlan>,
     doc_plan: Option<DocPlan>,
     pending: Option<PendingBatch>,
+    /// A non-staged engine's result, held until its virtual completion.
+    /// Boxed so that staged flights stay as small as they were.
+    executed: Option<Box<SearchResult>>,
     reply: SyncSender<QueryResponse>,
 }
 
@@ -882,6 +735,8 @@ enum EventAction {
     Arrive { id: u64 },
     /// A storage batch completed on the virtual clock.
     StorageDone { id: u64, epoch: u32 },
+    /// A non-staged engine's execution completed on the virtual clock.
+    Executed { id: u64 },
     /// The hedge timer for a possibly-straggling batch fired.
     HedgeFire { id: u64, epoch: u32 },
 }
@@ -899,6 +754,9 @@ struct AsyncCore {
     next_id: u64,
     events: BinaryHeap<Reverse<EventEntry>>,
     flights: HashMap<u64, Flight>,
+    /// The swappable engine slot: new submissions bind to it.
+    engine: Arc<dyn SearchEngine>,
+    refreshes: u64,
     /// Flights currently checked out by an executor thread (their events
     /// are momentarily absent from both `events` and `flights`).
     busy: usize,
@@ -912,8 +770,6 @@ struct AsyncCore {
     /// Hedges re-dispatched via the region backend's next-nearest
     /// replica (a subset of `hedges`).
     region_hedges: u64,
-    /// Total storage batches dispatched, primaries and hedges alike.
-    dispatched: u64,
     /// Primary (non-hedge) batches dispatched — the hedge-budget
     /// denominator. Counting hedges themselves in the denominator would
     /// let each admitted hedge enlarge the budget for the next one,
@@ -923,7 +779,7 @@ struct AsyncCore {
     ring_pos: usize,
     since_recompute: usize,
     hedge_threshold: Option<SimDuration>,
-    // Terminal counters and samples (mirroring the sync server).
+    // Terminal counters and samples.
     completed: u64,
     rejected: u64,
     timed_out: u64,
@@ -944,6 +800,13 @@ impl AsyncCore {
             seq: self.seq,
             action,
         }));
+    }
+
+    /// Pop the earliest event and advance the virtual clock to it.
+    fn pop_event(&mut self) -> Option<EventEntry> {
+        let Reverse(entry) = self.events.pop()?;
+        self.now = self.now.max(entry.at);
+        Some(entry)
     }
 
     /// Acquire a modeled backend slot at `at` for a batch of `latency`:
@@ -992,7 +855,6 @@ impl AsyncCore {
 struct AsyncShared {
     core: Mutex<AsyncCore>,
     cv: Condvar,
-    engine: Arc<dyn StagedEngine>,
     config: AsyncServerConfig,
     /// Below-cache backend for hedge re-dispatch. Hedges must bypass the
     /// shared cache: the original fetch already populated it, so a hedge
@@ -1013,10 +875,12 @@ impl AsyncShared {
     }
 }
 
-/// What a planning/merging stretch produced: either the query is done,
-/// or a batch was dispatched and the query suspends, or it failed.
+/// What an executor stretch produced: the query is done, a batch was
+/// dispatched and the query suspends, a non-staged engine executed it
+/// (it suspends until `trace.total()` has passed), or it failed.
 enum StepOutcome {
     Done(SearchResult),
+    Executed(SearchResult),
     Dispatch {
         kind: PhaseKind,
         requests: Vec<RangeRequest>,
@@ -1115,16 +979,17 @@ fn documents_step(segments: &[&crate::Searcher], flight: &mut Flight) -> StepOut
 /// their virtual latency), so an executor fetches eagerly, parks the
 /// query on the event heap until `dispatch + batch_latency`, and serves
 /// other queries meanwhile. Concurrency is therefore bounded by memory
-/// (one [`Flight`] per query), not by threads — the direct answer to the
-/// sync [`QueryServer`]'s thread-per-query cap.
+/// (one [`Flight`] per query), not by threads.
 ///
-/// Admission control (see [`crate::admission`]) replaces the bounded
-/// queue: arrivals beyond the priority watermarks are shed with typed
-/// [`SubmitError::Overloaded`]. Optional hedging duplicates straggling
-/// batches after a latency percentile ([`HedgeConfig`]).
+/// This is the open-loop front end of the one serving core (see the
+/// module docs; [`QueryServer`] is the closed-loop one). Admission
+/// control (see [`crate::admission`]) sheds arrivals beyond the priority
+/// watermarks with typed [`SubmitError::Overloaded`]. Optional hedging
+/// duplicates straggling batches after a latency percentile
+/// ([`HedgeConfig`]).
 ///
-/// Both this server and the sync path drive the *same* staged planner
-/// (`crate::plan`), so results are byte-for-byte identical by
+/// Staged engines run the *same* staged planner (`crate::plan`) as
+/// [`SearchEngine::execute`], so results are byte-for-byte identical by
 /// construction — asserted by the `async_admission` test suite and the
 /// `admission` bench.
 pub struct AsyncQueryServer {
@@ -1136,8 +1001,11 @@ pub struct AsyncQueryServer {
 }
 
 impl AsyncQueryServer {
-    /// Spawn the executor pool over a staged engine.
-    pub fn start(engine: Arc<dyn StagedEngine>, config: AsyncServerConfig) -> Self {
+    /// Spawn the executor threads over `engine`. A [`StagedEngine`] (see
+    /// [`SearchEngine::staged`]) suspends on the virtual clock between
+    /// its batches; any other engine runs one [`SearchEngine::execute`]
+    /// per query.
+    pub fn start(engine: Arc<dyn SearchEngine>, config: AsyncServerConfig) -> Self {
         let slots = (0..config.storage_slots)
             .map(|_| Reverse(SimDuration::ZERO))
             .collect();
@@ -1148,6 +1016,8 @@ impl AsyncQueryServer {
                 next_id: 0,
                 events: BinaryHeap::new(),
                 flights: HashMap::new(),
+                engine,
+                refreshes: 0,
                 busy: 0,
                 shutting_down: false,
                 admission: AdmissionController::new(config.admission.clone()),
@@ -1156,7 +1026,6 @@ impl AsyncQueryServer {
                 hedges: 0,
                 hedge_wins: 0,
                 region_hedges: 0,
-                dispatched: 0,
                 primary_dispatches: 0,
                 latency_ring: Vec::new(),
                 ring_pos: 0,
@@ -1172,7 +1041,6 @@ impl AsyncQueryServer {
                 last_finish: SimDuration::ZERO,
             }),
             cv: Condvar::new(),
-            engine,
             config: config.clone(),
             hedge_store: RwLock::new(None),
             region_backend: RwLock::new(None),
@@ -1257,6 +1125,18 @@ impl AsyncQueryServer {
         spec: SubmitSpec,
     ) -> std::result::Result<AsyncTicket, SubmitError> {
         let mut core = self.shared.lock_core();
+        self.admit(&mut core, query, opts, spec)
+    }
+
+    /// The synchronous admission decision of [`AsyncQueryServer::try_submit`],
+    /// under the caller's core lock.
+    fn admit(
+        &self,
+        core: &mut AsyncCore,
+        query: Query,
+        opts: QueryOptions,
+        spec: SubmitSpec,
+    ) -> std::result::Result<AsyncTicket, SubmitError> {
         if core.shutting_down {
             return Err(SubmitError::ShutDown);
         }
@@ -1270,7 +1150,7 @@ impl AsyncQueryServer {
         }
         core.peak_in_flight = core.peak_in_flight.max(core.admission.in_flight() as u64);
         let (reply, rx) = sync_channel(1);
-        self.enqueue_flight(&mut core, query, opts, spec, arrival, true, reply);
+        self.enqueue_flight(core, query, opts, spec, arrival, true, reply);
         self.shared.cv.notify_all();
         Ok(AsyncTicket { rx })
     }
@@ -1313,6 +1193,7 @@ impl AsyncQueryServer {
         if core.first_arrival.is_none_or(|f| arrival < f) {
             core.first_arrival = Some(arrival);
         }
+        let engine = core.engine.clone();
         core.flights.insert(
             id,
             Flight {
@@ -1322,7 +1203,7 @@ impl AsyncQueryServer {
                 tenant: spec.tenant,
                 arrival,
                 admitted,
-                stage: FlightStage::Submitted,
+                engine,
                 epoch: 0,
                 trace: QueryTrace::new(),
                 atoms: Vec::new(),
@@ -1330,6 +1211,7 @@ impl AsyncQueryServer {
                 postings_plan: None,
                 doc_plan: None,
                 pending: None,
+                executed: None,
                 reply,
             },
         );
@@ -1343,52 +1225,60 @@ impl AsyncQueryServer {
         loop {
             let entry = {
                 let mut core = self.shared.lock_core();
-                match core.events.pop() {
-                    Some(Reverse(entry)) => {
-                        if entry.at > core.now {
-                            core.now = entry.at;
-                        }
-                        Some(entry)
-                    }
+                match core.pop_event() {
+                    Some(entry) => entry,
                     None if core.busy > 0 => {
                         // Another thread is mid-flight and may push more
                         // events; wait for it.
-                        let _core = self.shared.cv.wait(core).unwrap_or_else(|e| e.into_inner());
-                        None
+                        drop(self.shared.cv.wait(core).unwrap_or_else(|e| e.into_inner()));
+                        continue;
                     }
                     None => return,
                 }
             };
-            if let Some(entry) = entry {
-                process_event(&self.shared, entry.at, entry.action);
-            }
+            process_event(&self.shared, entry.at, entry.action);
         }
     }
 
     /// Snapshot the aggregate serving statistics. Latency percentiles
     /// are over *sojourns* (arrival → completion, including virtual
     /// queueing — what an open-loop client experiences); wait
-    /// percentiles are over per-query storage waits, as in the sync
-    /// server.
+    /// percentiles are over per-query storage waits.
     pub fn stats(&self) -> ServerStats {
+        self.snapshot(false)
+    }
+
+    /// The statistics under the open-loop model, or (`closed_loop`) under
+    /// [`QueryServer`]'s: latency over service totals and the makespan of
+    /// replaying them through `executor_threads` model servers.
+    fn snapshot(&self, closed_loop: bool) -> ServerStats {
         let core = self.shared.lock_core();
+        let workers = self.shared.config.executor_threads;
         let mut waits: Vec<SimDuration> = core.samples.iter().map(|&(w, _)| w).collect();
-        let mut sojourns = core.sojourns.clone();
         waits.sort();
-        sojourns.sort();
+        let (latencies, sim_makespan) = if closed_loop {
+            let mut totals: Vec<SimDuration> = core.samples.iter().map(|&(_, t)| t).collect();
+            totals.sort();
+            let makespan = closed_loop_makespan(&totals, workers);
+            (totals, makespan)
+        } else {
+            let mut sojourns = core.sojourns.clone();
+            sojourns.sort();
+            let makespan = core
+                .last_finish
+                .saturating_sub(core.first_arrival.unwrap_or(SimDuration::ZERO));
+            (sojourns, makespan)
+        };
         let completed = core.completed;
-        let sim_makespan = core
-            .last_finish
-            .saturating_sub(core.first_arrival.unwrap_or(SimDuration::ZERO));
         let sim_secs = sim_makespan.as_secs_f64();
         let wall_secs = self.started.elapsed().as_secs_f64();
         ServerStats {
-            workers: self.shared.config.executor_threads,
+            workers,
             completed,
             rejected: core.rejected,
             timed_out: core.timed_out,
             failed: core.failed,
-            refreshes: 0,
+            refreshes: core.refreshes,
             sim_makespan,
             qps_sim: if sim_secs > 0.0 {
                 completed as f64 / sim_secs
@@ -1403,9 +1293,9 @@ impl AsyncQueryServer {
             wait_p50_ms: percentile(&waits, 0.50),
             wait_p95_ms: percentile(&waits, 0.95),
             wait_p99_ms: percentile(&waits, 0.99),
-            latency_p50_ms: percentile(&sojourns, 0.50),
-            latency_p95_ms: percentile(&sojourns, 0.95),
-            latency_p99_ms: percentile(&sojourns, 0.99),
+            latency_p50_ms: percentile(&latencies, 0.50),
+            latency_p95_ms: percentile(&latencies, 0.95),
+            latency_p99_ms: percentile(&latencies, 0.99),
             cache: self.cache_stats.as_ref().map(|f| f()),
             scheduler: self.scheduler_stats.as_ref().map(|f| f()),
             peak_in_flight: core.peak_in_flight,
@@ -1461,10 +1351,7 @@ fn run_executor(shared: &Arc<AsyncShared>) {
         let entry = {
             let mut core = shared.lock_core();
             loop {
-                if let Some(Reverse(entry)) = core.events.pop() {
-                    if entry.at > core.now {
-                        core.now = entry.at;
-                    }
+                if let Some(entry) = core.pop_event() {
                     break Some(entry);
                 }
                 if core.shutting_down && core.busy == 0 {
@@ -1487,6 +1374,7 @@ fn process_event(shared: &AsyncShared, at: SimDuration, action: EventAction) {
     match action {
         EventAction::Arrive { id } => process_arrival(shared, at, id),
         EventAction::StorageDone { id, epoch } => process_storage_done(shared, at, id, epoch),
+        EventAction::Executed { id } => process_executed(shared, at, id),
         EventAction::HedgeFire { id, epoch } => process_hedge_fire(shared, at, id, epoch),
     }
 }
@@ -1525,12 +1413,24 @@ fn process_arrival(shared: &AsyncShared, at: SimDuration, id: u64) {
         flight
     };
 
-    flight.stage = FlightStage::Planning;
-    // Expand vocabulary atoms (Prefix/Fuzzy/short Substring) against the
-    // engine's current segment set before planning; the expanded query
-    // stays on the flight so the verify pass uses it too (exactness).
+    let engine = flight.engine.clone();
+    let step = contained(|| match engine.staged() {
+        Some(staged) => plan_arrival(staged, &mut flight),
+        None => match engine.execute(&flight.query, &flight.opts) {
+            Ok(result) => StepOutcome::Executed(result),
+            Err(e) => StepOutcome::Fail(e),
+        },
+    });
+    apply_step(shared, at, id, flight, step);
+}
+
+/// A staged query's first stretch: expand vocabulary atoms
+/// (Prefix/Fuzzy/short Substring) against the engine's current segment
+/// set, then plan and dispatch the postings batch. The expanded query
+/// stays on the flight so the verify pass uses it too (exactness).
+fn plan_arrival(engine: &dyn StagedEngine, flight: &mut Flight) -> StepOutcome {
     let mut expanded: crate::Result<Option<crate::Query>> = Ok(None);
-    shared.engine.with_segments(&mut |segments| {
+    engine.with_segments(&mut |segments| {
         expanded = crate::expand::expand_for_segments(&flight.query, segments).map(|q| match q {
             std::borrow::Cow::Borrowed(_) => None,
             std::borrow::Cow::Owned(q) => Some(q),
@@ -1539,20 +1439,13 @@ fn process_arrival(shared: &AsyncShared, at: SimDuration, id: u64) {
     match expanded {
         Ok(Some(q)) => flight.query = q,
         Ok(None) => {}
-        Err(e) => {
-            finalize(shared, at, id, flight, Err(e));
-            return;
-        }
+        Err(e) => return StepOutcome::Fail(e),
     }
     match flight.query.atoms() {
         Ok(atoms) => flight.atoms = atoms,
-        Err(e) => {
-            finalize(shared, at, id, flight, Err(e));
-            return;
-        }
+        Err(e) => return StepOutcome::Fail(e),
     }
-    let step = run_staged(shared, &mut flight, postings_step);
-    apply_step(shared, at, id, flight, step);
+    run_staged(engine, flight, postings_step)
 }
 
 fn process_storage_done(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u32) {
@@ -1571,10 +1464,42 @@ fn process_storage_done(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u
         core.observe_batch_latency(hedge_cfg, pending.latency);
         (flight, pending)
     };
+    let engine = flight.engine.clone();
+    let step = contained(|| {
+        let staged = engine
+            .staged()
+            .expect("only staged engines dispatch batches");
+        merge_batch(staged, &mut flight, pending)
+    });
+    apply_step(shared, at, id, flight, step);
+}
 
-    flight.stage = FlightStage::Merging;
-    // Charge the winning wait/download to the trace (the sync path's
-    // `record_batch` with the hedge- and straggler-adjusted timing).
+/// A non-staged engine's execution reached its virtual completion.
+fn process_executed(shared: &AsyncShared, at: SimDuration, id: u64) {
+    let mut flight = {
+        let mut core = shared.lock_core();
+        let Some(flight) = core.flights.remove(&id) else {
+            return;
+        };
+        core.busy += 1;
+        flight
+    };
+    let result = flight
+        .executed
+        .take()
+        .expect("result held until completion");
+    finalize(shared, at, flight, Ok(*result));
+}
+
+/// A staged query's stretch after a batch completes: charge the batch,
+/// complete its stage, and plan the next one.
+fn merge_batch(
+    engine: &dyn StagedEngine,
+    flight: &mut Flight,
+    pending: PendingBatch,
+) -> StepOutcome {
+    // Charge the winning wait/download to the trace (what a direct
+    // `execute` records, with the hedge- and straggler-adjusted timing).
     let (requests, bytes) = match &pending.kept {
         Some(k) => (k.requests, k.bytes),
         None => (
@@ -1605,16 +1530,15 @@ fn process_storage_done(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u
             ) {
                 Ok(maps) => {
                     flight.maps = Some(maps);
-                    let step = run_staged(shared, &mut flight, documents_step);
-                    apply_step(shared, at, id, flight, step);
+                    run_staged(engine, flight, documents_step)
                 }
-                Err(e) => finalize(shared, at, id, flight, Err(e)),
+                Err(e) => StepOutcome::Fail(e),
             }
         }
         PhaseKind::Documents => {
             let plan = flight.doc_plan.take().expect("doc plan set at dispatch");
             let mut result: Option<SearchResult> = None;
-            shared.engine.with_segments(&mut |segments| {
+            engine.with_segments(&mut |segments| {
                 result = Some(complete_documents(
                     segments,
                     &flight.query,
@@ -1624,8 +1548,7 @@ fn process_storage_done(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u
                     flight.trace.clone(),
                 ));
             });
-            let result = result.expect("with_segments invokes its callback");
-            finalize(shared, at, id, flight, Ok(result));
+            StepOutcome::Done(result.expect("with_segments invokes its callback"))
         }
         other => unreachable!("no batches are dispatched for {other:?}"),
     }
@@ -1688,7 +1611,6 @@ fn process_hedge_fire(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u32
     let Ok(duplicate) = store.get_ranges(&requests) else {
         return; // hedge failed; the original is still in flight
     };
-    core.dispatched += 1;
     // The duplicate is judged by the same straggler policy as the
     // original: it wins when the parts the policy keeps arrive sooner.
     let (kept, wait, download) = match core.flights.get(&id) {
@@ -1712,7 +1634,7 @@ fn process_hedge_fire(shared: &AsyncShared, at: SimDuration, id: u64, epoch: u32
                 pending.completes_at = completes;
                 // `pending.batch` keeps the original bytes: blobs are
                 // immutable, so the duplicate's payload is identical and
-                // results stay byte-for-byte equal to the sync path.
+                // results stay byte-for-byte equal to a direct execute.
                 won = true;
             }
         }
@@ -1750,15 +1672,32 @@ fn straggler_cut(
 
 /// Run a planning/merging stage that needs the engine's segment set.
 fn run_staged(
-    shared: &AsyncShared,
+    engine: &dyn StagedEngine,
     flight: &mut Flight,
     stage: fn(&[&crate::Searcher], &mut Flight) -> StepOutcome,
 ) -> StepOutcome {
     let mut out: Option<StepOutcome> = None;
-    shared.engine.with_segments(&mut |segments| {
+    engine.with_segments(&mut |segments| {
         out = Some(stage(segments, flight));
     });
     out.expect("with_segments invokes its callback")
+}
+
+/// Run one executor stretch of a checked-out query. A panic fails that
+/// query instead of killing the executor thread; the failure is
+/// finalized like any other, which releases the query's `busy` hold and
+/// admission slot.
+fn contained(stretch: impl FnOnce() -> StepOutcome) -> StepOutcome {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(stretch)).unwrap_or_else(|panic| {
+        let msg = panic
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_owned());
+        StepOutcome::Fail(AirphantError::Storage(StorageError::Io(
+            std::io::Error::other(format!("query execution panicked: {msg}")),
+        )))
+    })
 }
 
 /// Apply a stage's outcome: suspend on a dispatched batch, or reach a
@@ -1771,20 +1710,30 @@ fn apply_step(
     step: StepOutcome,
 ) {
     match step {
-        StepOutcome::Done(result) => finalize(shared, at, id, flight, Ok(result)),
-        StepOutcome::Fail(e) => finalize(shared, at, id, flight, Err(e)),
+        StepOutcome::Done(result) => finalize(shared, at, flight, Ok(result)),
+        StepOutcome::Fail(e) => finalize(shared, at, flight, Err(e)),
+        StepOutcome::Executed(result) => {
+            // The query holds its admission slot for the simulated
+            // service time the engine reports.
+            flight.trace = result.trace.clone();
+            let completes = at + result.trace.total();
+            flight.executed = Some(Box::new(result));
+            let mut core = shared.lock_core();
+            core.push_event(completes, EventAction::Executed { id });
+            core.flights.insert(id, flight);
+            core.busy -= 1;
+            shared.cv.notify_all();
+        }
         StepOutcome::Dispatch {
             kind,
             requests,
             batch,
         } => {
             let mut core = shared.lock_core();
-            core.dispatched += 1;
             core.primary_dispatches += 1;
             let (kept, wait, download) = straggler_cut(&flight, &batch);
             let latency = wait + download;
             let (start, completes) = core.acquire_slot(at, latency);
-            flight.stage = FlightStage::AwaitingStorage(kind);
             flight.pending = Some(PendingBatch {
                 kind,
                 requests,
@@ -1827,15 +1776,7 @@ fn apply_step(
 }
 
 /// Deliver a terminal outcome: deadline check, counters, samples, reply.
-fn finalize(
-    shared: &AsyncShared,
-    at: SimDuration,
-    _id: u64,
-    mut flight: Flight,
-    outcome: Result<SearchResult>,
-) {
-    flight.stage = FlightStage::Done;
-    debug_assert_eq!(flight.stage, FlightStage::Done);
+fn finalize(shared: &AsyncShared, at: SimDuration, flight: Flight, outcome: Result<SearchResult>) {
     let service_total = flight.trace.total();
     let service_wait = flight.trace.wait();
     let sojourn = at.saturating_sub(flight.arrival);
@@ -1867,8 +1808,9 @@ fn finalize(
             Bucket::TimedOut => core.timed_out += 1,
             Bucket::Failed => core.failed += 1,
         }
-        // Timed-out queries stay in the samples, as in the sync server:
-        // percentiles report the true served tail.
+        // Timed-out queries stay in the samples: percentiles report the
+        // true served tail (not censored at the deadline) and the
+        // closed-loop makespan charges the wasted service time.
         core.samples.push((service_wait, service_total));
         core.sojourns.push(sojourn);
         if at > core.last_finish {
@@ -1897,6 +1839,7 @@ mod tests {
         ObjectStore, RangeRequest, RegionProfile, SimulatedCloudStore,
     };
     use bytes::Bytes;
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Condvar;
 
     fn build_index(store: Arc<dyn ObjectStore>, lines: &[&str]) {
@@ -2193,7 +2136,7 @@ mod tests {
         // faster than one worker would (same samples, fewer servers).
         let one = closed_loop_makespan(
             &{
-                let samples = server.shared.samples.lock().unwrap().clone();
+                let samples = server.core.shared.lock_core().samples.clone();
                 let mut totals: Vec<SimDuration> = samples.iter().map(|&(_, t)| t).collect();
                 totals.sort();
                 totals
@@ -2208,10 +2151,11 @@ mod tests {
         drop(server);
     }
 
-    /// Panics on the first query, answers normally afterwards.
+    /// Panics on the first query, answers normally afterwards. Not
+    /// staged: the core runs its `execute` as one opaque stretch.
     struct PanicOnceEngine {
         inner: Searcher,
-        panicked: std::sync::atomic::AtomicBool,
+        panicked: AtomicBool,
     }
 
     impl SearchEngine for PanicOnceEngine {
@@ -2235,30 +2179,126 @@ mod tests {
         }
     }
 
+    /// A staged engine whose first `with_segments` call panics, i.e. the
+    /// panic fires inside the core's own planning stretch.
+    struct PanicOnceStaged {
+        inner: Searcher,
+        panicked: AtomicBool,
+    }
+
+    impl SearchEngine for PanicOnceStaged {
+        fn name(&self) -> &'static str {
+            "PanicOnceStaged"
+        }
+        fn lookup(
+            &self,
+            word: &str,
+        ) -> Result<(iou_sketch::PostingsList, airphant_storage::QueryTrace)> {
+            self.inner.lookup(word)
+        }
+        fn execute(&self, query: &Query, opts: &QueryOptions) -> Result<SearchResult> {
+            self.inner.execute(query, opts)
+        }
+        fn index_bytes(&self) -> u64 {
+            self.inner.index_usage_bytes()
+        }
+        fn staged(&self) -> Option<&dyn StagedEngine> {
+            Some(self)
+        }
+    }
+
+    impl StagedEngine for PanicOnceStaged {
+        fn with_segments(&self, f: &mut dyn FnMut(&[&Searcher])) {
+            if !self.panicked.swap(true, Ordering::SeqCst) {
+                panic!("injected staged-engine panic");
+            }
+            f(&[&self.inner]);
+        }
+    }
+
+    /// Where the injected panic fires, and the front end serving it.
+    #[derive(Debug, Clone, Copy)]
+    enum PanicSite {
+        /// A non-staged engine's `execute`, through a 1-worker
+        /// `QueryServer`.
+        Execute,
+        /// A staged engine's `with_segments`, through a 1-thread
+        /// `AsyncQueryServer`.
+        WithSegments,
+    }
+
+    /// Run `wait` on a helper thread and fail, instead of hanging, if it
+    /// does not return within 10 s.
+    fn bounded_wait<T: Send + 'static>(wait: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let _ = tx.send(wait());
+        });
+        let out = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("query answered within 10 s");
+        waiter.join().expect("waiter thread exits after replying");
+        out
+    }
+
     #[test]
     fn engine_panic_fails_the_query_but_not_the_worker() {
+        for site in [PanicSite::Execute, PanicSite::WithSegments] {
+            engine_panic_case(site);
+        }
+    }
+
+    fn engine_panic_case(site: PanicSite) {
         let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
         build_index(store.clone(), &["alpha beta", "beta gamma"]);
-        let engine = Arc::new(PanicOnceEngine {
-            inner: Searcher::open(store, "idx").unwrap(),
-            panicked: std::sync::atomic::AtomicBool::new(false),
-        });
-        // One worker: if the panic killed it, the second query would hang.
-        let server = QueryServer::start(engine, ServerConfig::new().with_workers(1));
-        let err = server
-            .execute(&Query::term("beta"), &QueryOptions::new())
-            .unwrap_err();
+        let inner = Searcher::open(store, "idx").unwrap();
+        let panicked = AtomicBool::new(false);
+        // One executor thread: if the panic killed it, the second query
+        // would never be answered.
+        let (outcomes, stats): (Vec<Result<SearchResult>>, ServerStats) = match site {
+            PanicSite::Execute => {
+                let engine = Arc::new(PanicOnceEngine { inner, panicked });
+                let server = QueryServer::start(engine, ServerConfig::new().with_workers(1));
+                let outcomes = (0..2)
+                    .map(|_| {
+                        let ticket = server
+                            .submit(Query::term("beta"), QueryOptions::new())
+                            .unwrap();
+                        bounded_wait(move || ticket.wait())
+                    })
+                    .collect();
+                (outcomes, server.shutdown())
+            }
+            PanicSite::WithSegments => {
+                let engine = Arc::new(PanicOnceStaged { inner, panicked });
+                let server = AsyncQueryServer::start(
+                    engine as Arc<dyn StagedEngine>,
+                    AsyncServerConfig::new().with_executor_threads(1),
+                );
+                let outcomes = (0..2)
+                    .map(|_| {
+                        let ticket = server
+                            .try_submit(Query::term("beta"), QueryOptions::new(), SubmitSpec::new())
+                            .unwrap();
+                        bounded_wait(move || match ticket.wait().result {
+                            Ok(result) => Ok(result),
+                            Err(ServeError::Failed(e)) => Err(e),
+                            Err(other) => panic!("unexpected {other}"),
+                        })
+                    })
+                    .collect();
+                (outcomes, server.shutdown())
+            }
+        };
+        let err = outcomes[0].as_ref().unwrap_err();
         assert!(
             err.to_string().contains("panicked"),
-            "caller sees an error, got {err}"
+            "{site:?}: caller sees an error, got {err}"
         );
-        let ok = server
-            .execute(&Query::term("beta"), &QueryOptions::new())
-            .unwrap();
-        assert_eq!(ok.hits.len(), 2, "the worker survived the panic");
-        let stats = server.shutdown();
-        assert_eq!(stats.failed, 1);
-        assert_eq!(stats.completed, 1);
+        let ok = outcomes[1].as_ref().unwrap();
+        assert_eq!(ok.hits.len(), 2, "{site:?}: the worker survived the panic");
+        assert_eq!(stats.failed, 1, "{site:?}");
+        assert_eq!(stats.completed, 1, "{site:?}");
     }
 
     fn ms_samples(values: &[u64]) -> Vec<SimDuration> {

@@ -49,7 +49,9 @@
 //! the router and hand the fresh snapshot to
 //! [`QueryServer::refresh`](crate::QueryServer::refresh): the whole
 //! shard set swaps atomically behind one `Arc`, so no query ever sees
-//! a mix of old and new shard generations.
+//! a mix of old and new shard generations. A [`ShardedSearcher`] is not
+//! a [`StagedEngine`](crate::StagedEngine): the serving core runs its
+//! scatter-gather `execute` as one stretch per query.
 
 use crate::builder::BuildReport;
 use crate::compact::{CompactionPolicy, CompactionReport, Compactor};
@@ -867,8 +869,8 @@ impl crate::SearchEngine for ShardedSearcher {
     }
 }
 
-// One sharded snapshot behind one `Arc` serves every worker of a
-// `QueryServer`, same as the single-index engines.
+// One sharded snapshot behind one `Arc` serves every executor thread of
+// the serving core, same as the single-index engines.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<ShardRouter>();
