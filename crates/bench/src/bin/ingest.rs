@@ -28,10 +28,7 @@ use airphant::{
     SegmentManager,
 };
 use airphant_bench::{Headline, Report};
-use airphant_storage::{
-    BatchFetch, Fetched, InMemoryStore, LatencyModel, ObjectStore, RangeRequest,
-    SimulatedCloudStore, Version,
-};
+use airphant_storage::{InMemoryStore, LatencyModel, ObjectStore, SimulatedCloudStore, Version};
 use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -69,10 +66,16 @@ impl CountingStore {
     }
 }
 
-impl ObjectStore for CountingStore {
+impl airphant_storage::StoreLayer for CountingStore {
+    type Inner = dyn ObjectStore;
+
+    fn inner(&self) -> &Self::Inner {
+        &*self.inner
+    }
+
     fn put(&self, name: &str, data: Bytes) -> airphant_storage::Result<()> {
         self.count(data.len() as u64);
-        self.inner.put(name, data)
+        self.inner().put(name, data)
     }
 
     fn put_if_version(
@@ -82,35 +85,7 @@ impl ObjectStore for CountingStore {
         expected: Version,
     ) -> airphant_storage::Result<Version> {
         self.count(data.len() as u64);
-        self.inner.put_if_version(name, data, expected)
-    }
-
-    fn get(&self, name: &str) -> airphant_storage::Result<Fetched> {
-        self.inner.get(name)
-    }
-
-    fn get_range(&self, name: &str, offset: u64, len: u64) -> airphant_storage::Result<Fetched> {
-        self.inner.get_range(name, offset, len)
-    }
-
-    fn get_ranges(&self, requests: &[RangeRequest]) -> airphant_storage::Result<BatchFetch> {
-        self.inner.get_ranges(requests)
-    }
-
-    fn size_of(&self, name: &str) -> airphant_storage::Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn version_of(&self, name: &str) -> airphant_storage::Result<Version> {
-        self.inner.version_of(name)
-    }
-
-    fn list(&self, prefix: &str) -> airphant_storage::Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, name: &str) -> airphant_storage::Result<()> {
-        self.inner.delete(name)
+        self.inner().put_if_version(name, data, expected)
     }
 }
 

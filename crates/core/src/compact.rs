@@ -353,10 +353,10 @@ impl<'a> Compactor<'a> {
 
     /// Second half of a deferred-GC compaction: delete the superseded
     /// prefixes recorded in `report` (call once old-generation readers
-    /// have drained — e.g. after a [`QueryServer::refresh`]
-    /// (crate::QueryServer::refresh) plus in-flight-query completion),
-    /// then run the orphan sweep if the policy asks for one. Returns the
-    /// number of blobs reclaimed.
+    /// have drained — e.g. after a
+    /// [`QueryServer::refresh`](crate::QueryServer::refresh) plus
+    /// in-flight-query completion), then run the orphan sweep if the
+    /// policy asks for one. Returns the number of blobs reclaimed.
     pub fn gc_deferred(&self, report: &CompactionReport) -> Result<usize> {
         let store = self.manager.store();
         let mut deleted = 0;

@@ -75,7 +75,7 @@ pub trait SearchEngine: Send + Sync {
 /// flight, then complete from the fetched bytes.
 ///
 /// The serving core ([`crate::serve`]) needs direct access to the
-/// per-segment [`Searcher`]s so it can run the staged planner halves in
+/// per-segment [`Searcher`](crate::Searcher)s so it can run the staged planner halves in
 /// `crate::plan` itself — suspending the query on the simulated clock
 /// between dispatch and completion instead of blocking an OS thread
 /// inside [`SearchEngine::execute`]. Because both paths run the *same*

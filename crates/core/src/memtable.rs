@@ -3,18 +3,18 @@
 //!
 //! The paper defers frequent updates to future work (§III-A); the
 //! segmented index (PR 3) made appends *possible* but each one is a full
-//! [`Builder`] run to object storage — a freshly appended document is
-//! invisible until its segment lands. This module adds the missing LSM
-//! half:
+//! [`Builder`](crate::Builder) run to object storage — a freshly appended
+//! document is invisible until its segment lands. This module adds the
+//! missing LSM half:
 //!
 //! * [`Memtable`] — an in-memory tail batch. Appended documents are
 //!   indexed with the **same** builder, config, and tokenizer as durable
-//!   segments, into a mini-index staged in a
-//!   [`TailStore`](airphant_storage::TailStore) overlay (never written to
-//!   the durable store). Because the mini-index is a real segment in all
-//!   but durability, the memtable serves queries through the *same*
-//!   staged planner (`crate::plan`) as every other segment — including
-//!   the serving core's suspend/resume halves via [`StagedEngine`].
+//!   segments, into a mini-index staged in a [`TailStore`] overlay
+//!   (never written to the durable store). Because the mini-index is a
+//!   real segment in all but durability, the memtable serves queries
+//!   through the *same* staged planner (`crate::plan`) as every other
+//!   segment — including the serving core's suspend/resume halves via
+//!   [`StagedEngine`].
 //! * [`LiveIndex`] — the read/write front. Reads see
 //!   `[durable segments…, sealed batches…, active batch]`, exactly the
 //!   segment order a post-flush manifest produces; writes go to the
@@ -25,11 +25,10 @@
 //!   hits carry the same `(blob, offset, len)` because the corpus batch
 //!   is staged under its final durable name up front.
 //! * [`Flusher`] — a background thread that group-commits sealed batches
-//!   into real segments through the existing
-//!   [`SegmentManager`](crate::SegmentManager) CAS publish. A crash (or
-//!   injected write fault) mid-flush leaves the old manifest generation
-//!   intact and the memtable still serving — never a torn index; a
-//!   retried flush converges.
+//!   into real segments through the existing [`SegmentManager`] CAS
+//!   publish. A crash (or injected write fault) mid-flush leaves the old
+//!   manifest generation intact and the memtable still serving — never a
+//!   torn index; a retried flush converges.
 //!
 //! ## Flush protocol
 //!
@@ -755,6 +754,45 @@ mod tests {
             .unwrap();
         assert_eq!(texts(&r), vec!["error disk unit0"]);
         assert_eq!(idx.pending_docs(), 2);
+    }
+
+    #[test]
+    fn staged_blobs_count_in_tail_metadata_before_first_flush() {
+        let inner: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let tail = Arc::new(TailStore::new(inner.clone(), "idx/.memtable/"));
+        let mem = Memtable::new(
+            tail.clone(),
+            config(),
+            Arc::new(WhitespaceTokenizer),
+            "idx",
+            0,
+        );
+        mem.append("error disk unit0").unwrap();
+        mem.append("info boot unit1").unwrap();
+        // A search builds the staged mini-index; nothing is durable yet.
+        mem.execute(&Query::term("error"), &QueryOptions::new())
+            .unwrap();
+        assert!(inner.list("").unwrap().is_empty());
+
+        // The corpus blob is staged under its durable name, outside the
+        // staging prefix; the mini-index lives under the prefix.
+        let corpus = mem.corpus_blob();
+        let corpus_len = mem.pending_bytes() - 1;
+        assert!(tail.exists(corpus));
+        assert!(!inner.exists(corpus));
+        assert_eq!(tail.size_of(corpus).unwrap(), corpus_len);
+        assert_eq!(tail.usage(corpus).unwrap(), corpus_len);
+
+        let index = format!("{}/", mem.index_prefix);
+        let staged = tail.list(&index).unwrap();
+        assert!(!staged.is_empty());
+        let staged_bytes: u64 = staged.iter().map(|n| tail.size_of(n).unwrap()).sum();
+        assert!(staged.iter().all(|n| tail.exists(n) && !inner.exists(n)));
+        assert_eq!(tail.usage(&index).unwrap(), staged_bytes);
+        assert_eq!(tail.usage("idx/").unwrap(), staged_bytes + corpus_len);
+        assert_eq!(inner.usage("idx/").unwrap(), 0);
+        assert!(mem.index_bytes() > 0);
+        assert_eq!(mem.index_bytes(), staged_bytes);
     }
 
     #[test]

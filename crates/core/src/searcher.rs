@@ -111,7 +111,7 @@ impl Searcher {
     /// built with prefix/fuzzy support). Backs [`Query::Prefix`],
     /// [`Query::Fuzzy`], and the short-substring fallback; `None` means
     /// those atoms surface a typed
-    /// [`AirphantError::UnsupportedQuery`](crate::AirphantError::UnsupportedQuery).
+    /// [`AirphantError::UnsupportedQuery`].
     ///
     /// [`Query::Prefix`]: crate::Query::Prefix
     /// [`Query::Fuzzy`]: crate::Query::Fuzzy

@@ -979,7 +979,7 @@ fn documents_step(segments: &[&crate::Searcher], flight: &mut Flight) -> StepOut
 /// their virtual latency), so an executor fetches eagerly, parks the
 /// query on the event heap until `dispatch + batch_latency`, and serves
 /// other queries meanwhile. Concurrency is therefore bounded by memory
-/// (one [`Flight`] per query), not by threads.
+/// (one `Flight` per query), not by threads.
 ///
 /// This is the open-loop front end of the one serving core (see the
 /// module docs; [`QueryServer`] is the closed-loop one). Admission
@@ -1943,12 +1943,10 @@ mod tests {
         }
     }
 
-    impl<S: ObjectStore> ObjectStore for GatedStore<S> {
-        fn put(&self, name: &str, data: Bytes) -> airphant_storage::Result<()> {
-            self.inner.put(name, data)
-        }
-        fn get(&self, name: &str) -> airphant_storage::Result<Fetched> {
-            self.inner.get(name)
+    impl<S: ObjectStore> airphant_storage::StoreLayer for GatedStore<S> {
+        type Inner = S;
+        fn inner(&self) -> &S {
+            &self.inner
         }
         fn get_range(&self, name: &str, o: u64, l: u64) -> airphant_storage::Result<Fetched> {
             self.block();
@@ -1965,15 +1963,6 @@ mod tests {
                 self.block();
             }
             self.inner.get_ranges(reqs)
-        }
-        fn size_of(&self, name: &str) -> airphant_storage::Result<u64> {
-            self.inner.size_of(name)
-        }
-        fn list(&self, prefix: &str) -> airphant_storage::Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn delete(&self, name: &str) -> airphant_storage::Result<()> {
-            self.inner.delete(name)
         }
     }
 

@@ -34,7 +34,7 @@
 //! resharding migrates documents through.
 //!
 //! **Scatter-gather.** [`ShardedSearcher`] implements
-//! [`SearchEngine`]: a query fans out to all shards in parallel (each
+//! [`SearchEngine`](crate::SearchEngine): a query fans out to all shards in parallel (each
 //! shard runs the ordinary single-batch planner over its own segments),
 //! then the per-shard results merge deterministically — hits in stable
 //! doc-id order (`(blob, offset)`), counters summed, and the trace

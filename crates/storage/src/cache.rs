@@ -482,7 +482,16 @@ impl<S: ObjectStore> BatchRound<'_, S> {
     }
 }
 
-impl<S: ObjectStore> ObjectStore for CachedStore<S> {
+// `version_of` is a layer default on purpose: versions must reflect the
+// durable store, never a cached entry — a CAS retry loop that read a
+// stale version would spin.
+impl<S: ObjectStore> crate::StoreLayer for CachedStore<S> {
+    type Inner = S;
+
+    fn inner(&self) -> &S {
+        &self.inner
+    }
+
     fn put(&self, name: &str, data: Bytes) -> Result<()> {
         self.invalidate(name);
         let result = self.inner.put(name, data);
@@ -494,12 +503,6 @@ impl<S: ObjectStore> ObjectStore for CachedStore<S> {
         // write.
         self.invalidate(name);
         result
-    }
-
-    fn version_of(&self, name: &str) -> Result<Version> {
-        // Versions must reflect the durable store, never a cached entry:
-        // a CAS retry loop that read a stale version would spin.
-        self.inner.version_of(name)
     }
 
     fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
@@ -514,7 +517,7 @@ impl<S: ObjectStore> ObjectStore for CachedStore<S> {
 
     fn get(&self, name: &str) -> Result<Fetched> {
         let size = self.inner.size_of(name)?;
-        self.get_range(name, 0, size)
+        ObjectStore::get_range(self, name, 0, size)
     }
 
     fn get_range(&self, name: &str, offset: u64, len: u64) -> Result<Fetched> {
@@ -632,14 +635,6 @@ impl<S: ObjectStore> ObjectStore for CachedStore<S> {
         })
     }
 
-    fn size_of(&self, name: &str) -> Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
     fn delete(&self, name: &str) -> Result<()> {
         self.invalidate(name);
         let result = self.inner.delete(name);
@@ -647,13 +642,6 @@ impl<S: ObjectStore> ObjectStore for CachedStore<S> {
         result
     }
 }
-
-// One shared cache serves a whole worker pool; the LRU and the in-flight
-// table are the only mutable state and both sit behind their own locks.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<CachedStore<crate::InMemoryStore>>();
-};
 
 #[cfg(test)]
 mod tests {
@@ -893,11 +881,23 @@ mod tests {
         }
     }
 
-    /// Delegates to an [`InMemoryStore`] but parks `get_range` on a gate
-    /// and flags when a fetch has started — lets tests interleave a write
-    /// with an in-flight read deterministically.
+    /// Which call a [`StallingStore`] parks.
+    #[derive(PartialEq)]
+    enum Stall {
+        /// `get_range` parks *after* reading: the caller ends up holding
+        /// pre-write bytes across whatever the test interleaves.
+        Reads,
+        /// `put` parks *before* writing, so a read can be interleaved
+        /// into the invalidate→write window.
+        Puts,
+    }
+
+    /// Delegates to an [`InMemoryStore`] but parks one kind of call on a
+    /// gate and flags when it has started — lets tests interleave a write
+    /// with an in-flight read (or the reverse) deterministically.
     struct StallingStore {
         inner: InMemoryStore,
+        stall: Stall,
         started: StdMutex<bool>,
         started_cv: Condvar,
         gate: StdMutex<bool>,
@@ -905,9 +905,10 @@ mod tests {
     }
 
     impl StallingStore {
-        fn new(inner: InMemoryStore) -> Self {
+        fn new(inner: InMemoryStore, stall: Stall) -> Self {
             StallingStore {
                 inner,
+                stall,
                 started: StdMutex::new(false),
                 started_cv: Condvar::new(),
                 gate: StdMutex::new(false),
@@ -915,7 +916,7 @@ mod tests {
             }
         }
 
-        fn wait_for_fetch_start(&self) {
+        fn wait_for_start(&self) {
             let mut started = self.started.lock().unwrap();
             while !*started {
                 started = self.started_cv.wait(started).unwrap();
@@ -926,19 +927,8 @@ mod tests {
             *self.gate.lock().unwrap() = true;
             self.gate_cv.notify_all();
         }
-    }
 
-    impl ObjectStore for StallingStore {
-        fn put(&self, name: &str, data: Bytes) -> crate::Result<()> {
-            self.inner.put(name, data)
-        }
-        fn get(&self, name: &str) -> crate::Result<Fetched> {
-            self.inner.get(name)
-        }
-        fn get_range(&self, name: &str, offset: u64, len: u64) -> crate::Result<Fetched> {
-            // Read first, then park: the caller ends up holding pre-write
-            // bytes across whatever the test interleaves at the gate.
-            let result = self.inner.get_range(name, offset, len);
+        fn park(&self) {
             {
                 *self.started.lock().unwrap() = true;
                 self.started_cv.notify_all();
@@ -947,17 +937,26 @@ mod tests {
             while !*open {
                 open = self.gate_cv.wait(open).unwrap();
             }
-            drop(open);
+        }
+    }
+
+    impl crate::StoreLayer for StallingStore {
+        type Inner = InMemoryStore;
+        fn inner(&self) -> &InMemoryStore {
+            &self.inner
+        }
+        fn get_range(&self, name: &str, offset: u64, len: u64) -> crate::Result<Fetched> {
+            let result = self.inner.get_range(name, offset, len);
+            if self.stall == Stall::Reads {
+                self.park();
+            }
             result
         }
-        fn size_of(&self, name: &str) -> crate::Result<u64> {
-            self.inner.size_of(name)
-        }
-        fn list(&self, prefix: &str) -> crate::Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn delete(&self, name: &str) -> crate::Result<()> {
-            self.inner.delete(name)
+        fn put(&self, name: &str, data: Bytes) -> crate::Result<()> {
+            if self.stall == Stall::Puts {
+                self.park();
+            }
+            self.inner.put(name, data)
         }
     }
 
@@ -965,7 +964,7 @@ mod tests {
     fn write_racing_an_in_flight_fetch_is_not_cached_stale() {
         let inner = InMemoryStore::new();
         inner.put("blob", Bytes::from(vec![1u8; 64])).unwrap();
-        let stall = StallingStore::new(inner);
+        let stall = StallingStore::new(inner, Stall::Reads);
         let store = std::sync::Arc::new(CachedStore::new(stall, 1 << 20));
         std::thread::scope(|s| {
             let reader = {
@@ -975,7 +974,7 @@ mod tests {
             // The fetch is in flight (parked inside the backend) when the
             // write lands; the fetched pre-write bytes must not be
             // admitted over it.
-            store.inner().wait_for_fetch_start();
+            store.inner().wait_for_start();
             store.put("blob", Bytes::from(vec![2u8; 64])).unwrap();
             store.inner().open_gate();
             let old = reader.join().unwrap();
@@ -989,71 +988,6 @@ mod tests {
         );
     }
 
-    /// Delegates to an [`InMemoryStore`] but parks `put` (after flagging
-    /// it started) so a read can be interleaved into the
-    /// invalidate→write window.
-    struct StallingPutStore {
-        inner: InMemoryStore,
-        started: StdMutex<bool>,
-        started_cv: Condvar,
-        gate: StdMutex<bool>,
-        gate_cv: Condvar,
-    }
-
-    impl StallingPutStore {
-        fn new(inner: InMemoryStore) -> Self {
-            StallingPutStore {
-                inner,
-                started: StdMutex::new(false),
-                started_cv: Condvar::new(),
-                gate: StdMutex::new(false),
-                gate_cv: Condvar::new(),
-            }
-        }
-
-        fn wait_for_put_start(&self) {
-            let mut started = self.started.lock().unwrap();
-            while !*started {
-                started = self.started_cv.wait(started).unwrap();
-            }
-        }
-
-        fn open_gate(&self) {
-            *self.gate.lock().unwrap() = true;
-            self.gate_cv.notify_all();
-        }
-    }
-
-    impl ObjectStore for StallingPutStore {
-        fn put(&self, name: &str, data: Bytes) -> crate::Result<()> {
-            {
-                *self.started.lock().unwrap() = true;
-                self.started_cv.notify_all();
-            }
-            let mut open = self.gate.lock().unwrap();
-            while !*open {
-                open = self.gate_cv.wait(open).unwrap();
-            }
-            drop(open);
-            self.inner.put(name, data)
-        }
-        fn get(&self, name: &str) -> crate::Result<Fetched> {
-            self.inner.get(name)
-        }
-        fn get_range(&self, name: &str, offset: u64, len: u64) -> crate::Result<Fetched> {
-            self.inner.get_range(name, offset, len)
-        }
-        fn size_of(&self, name: &str) -> crate::Result<u64> {
-            self.inner.size_of(name)
-        }
-        fn list(&self, prefix: &str) -> crate::Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn delete(&self, name: &str) -> crate::Result<()> {
-            self.inner.delete(name)
-        }
-    }
-
     #[test]
     fn fetch_between_invalidate_and_write_cannot_pin_stale_bytes() {
         // The nastier half of the write race: a fetch that *starts after*
@@ -1062,14 +996,15 @@ mod tests {
         // invalidation pass evicts what it cached.
         let inner = InMemoryStore::new();
         inner.put("blob", Bytes::from(vec![1u8; 64])).unwrap();
-        let store = std::sync::Arc::new(CachedStore::new(StallingPutStore::new(inner), 1 << 20));
+        let stall = StallingStore::new(inner, Stall::Puts);
+        let store = std::sync::Arc::new(CachedStore::new(stall, 1 << 20));
         std::thread::scope(|s| {
             let writer = {
                 let store = store.clone();
                 // invalidates, then parks inside the backend write
                 s.spawn(move || store.put("blob", Bytes::from(vec![2u8; 64])).unwrap())
             };
-            store.inner().wait_for_put_start();
+            store.inner().wait_for_start();
             // Reads pre-write bytes and admits them mid-write.
             let old = store.get_range("blob", 0, 64).unwrap();
             assert_eq!(&old.bytes[..], &[1u8; 64][..], "write not yet applied");
@@ -1119,27 +1054,16 @@ mod tests {
         panicked: std::sync::atomic::AtomicBool,
     }
 
-    impl ObjectStore for PanicOnceStore {
-        fn put(&self, name: &str, data: Bytes) -> crate::Result<()> {
-            self.inner.put(name, data)
-        }
-        fn get(&self, name: &str) -> crate::Result<Fetched> {
-            self.inner.get(name)
+    impl crate::StoreLayer for PanicOnceStore {
+        type Inner = InMemoryStore;
+        fn inner(&self) -> &InMemoryStore {
+            &self.inner
         }
         fn get_range(&self, name: &str, offset: u64, len: u64) -> crate::Result<Fetched> {
             if !self.panicked.swap(true, Ordering::SeqCst) {
                 panic!("injected backend panic");
             }
             self.inner.get_range(name, offset, len)
-        }
-        fn size_of(&self, name: &str) -> crate::Result<u64> {
-            self.inner.size_of(name)
-        }
-        fn list(&self, prefix: &str) -> crate::Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn delete(&self, name: &str) -> crate::Result<()> {
-            self.inner.delete(name)
         }
     }
 

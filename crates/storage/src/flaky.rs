@@ -114,7 +114,13 @@ impl<S: ObjectStore> FlakyStore<S> {
     }
 }
 
-impl<S: ObjectStore> ObjectStore for FlakyStore<S> {
+impl<S: ObjectStore> crate::StoreLayer for FlakyStore<S> {
+    type Inner = S;
+
+    fn inner(&self) -> &S {
+        &self.inner
+    }
+
     fn put(&self, name: &str, data: Bytes) -> Result<()> {
         self.maybe_fail_put(name)?;
         self.inner.put(name, data)
@@ -141,28 +147,12 @@ impl<S: ObjectStore> ObjectStore for FlakyStore<S> {
         self.inner.get_ranges(requests)
     }
 
-    fn version_of(&self, name: &str) -> Result<Version> {
-        self.inner.version_of(name)
-    }
-
     fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
         // Armed write faults hit conditional writes too (a crash does not
         // care which kind of put was in flight); every injected fault
         // lands in the same `injected_failures` accounting.
         self.maybe_fail_put(name)?;
         self.inner.put_if_version(name, data, expected)
-    }
-
-    fn size_of(&self, name: &str) -> Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, name: &str) -> Result<()> {
-        self.inner.delete(name)
     }
 }
 
@@ -229,21 +219,15 @@ impl<S: ObjectStore> RetryingStore<S> {
     }
 }
 
-impl<S: ObjectStore> ObjectStore for RetryingStore<S> {
-    fn put(&self, name: &str, data: Bytes) -> Result<()> {
-        self.inner.put(name, data)
-    }
+// Writes and conditional writes pass through untouched. A
+// VersionMismatch in particular is NOT transient: blindly re-issuing the
+// same conditional write would lose another writer's update, so the
+// manifest CAS loop re-reads and retries at its own layer.
+impl<S: ObjectStore> crate::StoreLayer for RetryingStore<S> {
+    type Inner = S;
 
-    fn version_of(&self, name: &str) -> Result<Version> {
-        self.inner.version_of(name)
-    }
-
-    fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
-        // Pass through like `put`. Crucially, a VersionMismatch is NOT
-        // transient: blindly re-issuing the same conditional write would
-        // lose another writer's update. The manifest CAS loop re-reads
-        // and retries at its own layer.
-        self.inner.put_if_version(name, data, expected)
+    fn inner(&self) -> &S {
+        &self.inner
     }
 
     fn get(&self, name: &str) -> Result<Fetched> {
@@ -269,27 +253,7 @@ impl<S: ObjectStore> ObjectStore for RetryingStore<S> {
             },
         )
     }
-
-    fn size_of(&self, name: &str) -> Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, name: &str) -> Result<()> {
-        self.inner.delete(name)
-    }
 }
-
-// Failure injection and retries are exercised from parallel lookups; the
-// RNG sits behind a lock and every counter is atomic.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<FlakyStore<crate::InMemoryStore>>();
-    assert_send_sync::<RetryingStore<FlakyStore<crate::InMemoryStore>>>();
-};
 
 #[cfg(test)]
 mod tests {

@@ -18,7 +18,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
-use std::time::Duration;
 
 /// A simulated duration on the virtual clock, stored with nanosecond
 /// resolution.
@@ -57,12 +56,6 @@ impl SimDuration {
         SimDuration((secs * 1e9).round() as u64)
     }
 
-    /// Construct from fractional milliseconds. Negative or non-finite inputs
-    /// saturate to zero.
-    pub fn from_millis_f64(millis: f64) -> Self {
-        Self::from_secs_f64(millis / 1e3)
-    }
-
     /// Total nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -91,11 +84,6 @@ impl SimDuration {
         } else {
             other
         }
-    }
-
-    /// Convert to a wall-clock [`Duration`] (for the real-sleep demo mode).
-    pub fn to_std(self) -> Duration {
-        Duration::from_nanos(self.0)
     }
 }
 

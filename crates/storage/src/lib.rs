@@ -19,6 +19,12 @@
 //!   latency-vs-size relationship of the paper's Figure 2 (≈50 ms to first
 //!   byte, linear beyond ~2 MB), with optional long-tail behaviour and
 //!   cross-region multipliers (Figures 7, 12, 13).
+//! * Decorators that stack over any store: [`CachedStore`],
+//!   [`CoalescingStore`], [`FlakyStore`], [`RetryingStore`], and
+//!   [`TailStore`], plus `SimulatedCloudStore` above. Each is a
+//!   [`StoreLayer`]: it names its inner store and writes only the methods
+//!   it changes; every other call goes straight to the inner store.
+//!   [`ReplicatedStore`] fans out over several region stores instead.
 //! * [`QueryTrace`] — wait-time vs download-time instrumentation that stands
 //!   in for the paper's tcpdump-based latency breakdown (Figures 8 and 11).
 //!
@@ -29,8 +35,7 @@
 //! concurrent requests completes at `max(first_byte_i) + total_bytes /
 //! bandwidth` — parallel requests overlap their round-trip latency but share
 //! link bandwidth, exactly the trade-off §II-C of the paper describes. This
-//! keeps experiments fast and deterministic under a seed. A real-sleep mode
-//! ([`SimulatedCloudStore::with_real_sleep`]) exists for live demos.
+//! keeps experiments fast and deterministic under a seed.
 
 #![warn(missing_docs)]
 
@@ -53,7 +58,9 @@ pub use flaky::{FlakyStore, RetryingStore};
 pub use latency::{LatencyModel, LatencyModelBuilder, LatencySample, RegionProfile, SimDuration};
 pub use localfs::LocalFsStore;
 pub use memory::InMemoryStore;
-pub use object_store::{BatchFetch, Fetched, ObjectStore, RangeClass, RangeRequest, Version};
+pub use object_store::{
+    BatchFetch, Fetched, ObjectStore, RangeClass, RangeRequest, StoreLayer, Version,
+};
 pub use replicated::{ReplicatedStore, ReplicationStats};
 pub use scheduler::{CoalescingStore, SchedulerConfig, SchedulerStats};
 pub use sim::{IoStatsSnapshot, SimulatedCloudStore, SpikeProfile};

@@ -218,7 +218,8 @@ pub trait ObjectStore: Send + Sync {
     /// check-then-put and is only atomic for backends whose reads and
     /// writes already serialize through one lock; [`crate::InMemoryStore`]
     /// and [`crate::LocalFsStore`] override it with a properly serialized
-    /// compare-and-swap, and decorators delegate to their inner store.
+    /// compare-and-swap, and every [`StoreLayer`] delegates to its inner
+    /// store unless it overrides the method.
     fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
         let actual = self.version_of(name)?;
         if actual != expected {
@@ -258,40 +259,123 @@ pub trait ObjectStore: Send + Sync {
     }
 }
 
-/// Blanket implementation so `Arc<S>`, `Box<S>`, `&S` all work as stores.
-impl<S: ObjectStore + ?Sized> ObjectStore for std::sync::Arc<S> {
+/// A store decorator over one inner store.
+///
+/// Every [`ObjectStore`] method defaults to the same call on
+/// [`StoreLayer::inner`], so a layer writes only the methods whose
+/// behaviour it changes; a blanket impl makes every layer an
+/// `ObjectStore`. The defaults go to the inner store, never back through
+/// `self`: a layer that hooks `get_range` does not thereby hook
+/// `get_ranges`, and `put_if_version` reaches the inner store's atomic
+/// compare-and-swap instead of a check-then-put through the layer.
+///
+/// Never import this trait where stores are used. Its methods share
+/// their names with `ObjectStore`'s, so with both traits in scope every
+/// store call is ambiguous (E0034); name it by path in `impl` headers.
+pub trait StoreLayer: Send + Sync {
+    /// The wrapped store.
+    type Inner: ObjectStore + ?Sized;
+
+    /// The store this layer forwards to.
+    fn inner(&self) -> &Self::Inner;
+
+    /// See [`ObjectStore::put`].
     fn put(&self, name: &str, data: Bytes) -> Result<()> {
-        (**self).put(name, data)
+        ObjectStore::put(self.inner(), name, data)
+    }
+
+    /// See [`ObjectStore::get`].
+    fn get(&self, name: &str) -> Result<Fetched> {
+        ObjectStore::get(self.inner(), name)
+    }
+
+    /// See [`ObjectStore::get_range`].
+    fn get_range(&self, name: &str, offset: u64, len: u64) -> Result<Fetched> {
+        ObjectStore::get_range(self.inner(), name, offset, len)
+    }
+
+    /// See [`ObjectStore::get_ranges`].
+    fn get_ranges(&self, requests: &[RangeRequest]) -> Result<BatchFetch> {
+        ObjectStore::get_ranges(self.inner(), requests)
+    }
+
+    /// See [`ObjectStore::version_of`].
+    fn version_of(&self, name: &str) -> Result<Version> {
+        ObjectStore::version_of(self.inner(), name)
+    }
+
+    /// See [`ObjectStore::put_if_version`].
+    fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
+        ObjectStore::put_if_version(self.inner(), name, data, expected)
+    }
+
+    /// See [`ObjectStore::size_of`].
+    fn size_of(&self, name: &str) -> Result<u64> {
+        ObjectStore::size_of(self.inner(), name)
+    }
+
+    /// See [`ObjectStore::exists`].
+    fn exists(&self, name: &str) -> bool {
+        ObjectStore::exists(self.inner(), name)
+    }
+
+    /// See [`ObjectStore::list`].
+    fn list(&self, prefix: &str) -> Result<Vec<String>> {
+        ObjectStore::list(self.inner(), prefix)
+    }
+
+    /// See [`ObjectStore::delete`].
+    fn delete(&self, name: &str) -> Result<()> {
+        ObjectStore::delete(self.inner(), name)
+    }
+
+    /// See [`ObjectStore::usage`].
+    fn usage(&self, prefix: &str) -> Result<u64> {
+        ObjectStore::usage(self.inner(), prefix)
+    }
+}
+
+impl<L: StoreLayer> ObjectStore for L {
+    fn put(&self, name: &str, data: Bytes) -> Result<()> {
+        StoreLayer::put(self, name, data)
     }
     fn get(&self, name: &str) -> Result<Fetched> {
-        (**self).get(name)
+        StoreLayer::get(self, name)
     }
     fn get_range(&self, name: &str, offset: u64, len: u64) -> Result<Fetched> {
-        (**self).get_range(name, offset, len)
+        StoreLayer::get_range(self, name, offset, len)
     }
     fn get_ranges(&self, requests: &[RangeRequest]) -> Result<BatchFetch> {
-        (**self).get_ranges(requests)
+        StoreLayer::get_ranges(self, requests)
     }
     fn version_of(&self, name: &str) -> Result<Version> {
-        (**self).version_of(name)
+        StoreLayer::version_of(self, name)
     }
     fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
-        (**self).put_if_version(name, data, expected)
+        StoreLayer::put_if_version(self, name, data, expected)
     }
     fn size_of(&self, name: &str) -> Result<u64> {
-        (**self).size_of(name)
+        StoreLayer::size_of(self, name)
     }
     fn exists(&self, name: &str) -> bool {
-        (**self).exists(name)
+        StoreLayer::exists(self, name)
     }
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        (**self).list(prefix)
+        StoreLayer::list(self, prefix)
     }
     fn delete(&self, name: &str) -> Result<()> {
-        (**self).delete(name)
+        StoreLayer::delete(self, name)
     }
     fn usage(&self, prefix: &str) -> Result<u64> {
-        (**self).usage(prefix)
+        StoreLayer::usage(self, prefix)
+    }
+}
+
+/// `Arc<S>` is the identity layer, so shared handles work as stores.
+impl<S: ObjectStore + ?Sized> StoreLayer for std::sync::Arc<S> {
+    type Inner = S;
+    fn inner(&self) -> &S {
+        self
     }
 }
 
@@ -313,15 +397,6 @@ mod tests {
         assert_eq!(&batch.parts[1].bytes[..], b"goodbye");
         assert_eq!(batch.batch_latency, SimDuration::ZERO);
         assert_eq!(batch.total_bytes(), 12);
-    }
-
-    #[test]
-    fn arc_blanket_impl_works() {
-        let store = std::sync::Arc::new(InMemoryStore::new());
-        store.put("x", Bytes::from_static(b"12345")).unwrap();
-        assert_eq!(store.size_of("x").unwrap(), 5);
-        assert!(store.exists("x"));
-        assert!(!store.exists("y"));
     }
 
     #[test]

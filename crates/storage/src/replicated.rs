@@ -293,13 +293,6 @@ impl ObjectStore for ReplicatedStore {
     }
 }
 
-// One ReplicatedStore is shared by every worker of a server; all routing
-// state is atomics.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<ReplicatedStore>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;

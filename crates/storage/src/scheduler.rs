@@ -40,9 +40,8 @@
 //! for the full stacking argument.
 
 use crate::latency::{LatencySample, SimDuration};
-use crate::object_store::{BatchFetch, Fetched, ObjectStore, RangeRequest, Version};
+use crate::object_store::{BatchFetch, Fetched, ObjectStore, RangeRequest};
 use crate::{Result, StorageError};
-use bytes::Bytes;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -527,22 +526,17 @@ fn clone_error(e: &StorageError) -> StorageError {
     }
 }
 
-impl<S: ObjectStore> ObjectStore for CoalescingStore<S> {
-    fn put(&self, name: &str, data: Bytes) -> Result<()> {
-        self.inner.put(name, data)
+impl<S: ObjectStore> crate::StoreLayer for CoalescingStore<S> {
+    type Inner = S;
+
+    fn inner(&self) -> &S {
+        &self.inner
     }
 
-    fn get(&self, name: &str) -> Result<Fetched> {
-        self.inner.get(name)
-    }
-
-    /// Single ranges pass straight through: there is nothing to merge,
-    /// and holding a lone read hostage to the fusion window would tax
-    /// every header fetch for no round-trip saving.
-    fn get_range(&self, name: &str, offset: u64, len: u64) -> Result<Fetched> {
-        self.inner.get_range(name, offset, len)
-    }
-
+    /// Batches are coalesced (and fused when the window is open). Single
+    /// ranges pass straight through: there is nothing to merge, and
+    /// holding a lone read hostage to the fusion window would tax every
+    /// header fetch for no round-trip saving.
     fn get_ranges(&self, requests: &[RangeRequest]) -> Result<BatchFetch> {
         if requests.is_empty() {
             return Ok(BatchFetch {
@@ -558,47 +552,13 @@ impl<S: ObjectStore> ObjectStore for CoalescingStore<S> {
             self.fused_get_ranges(requests)
         }
     }
-
-    fn version_of(&self, name: &str) -> Result<Version> {
-        self.inner.version_of(name)
-    }
-
-    fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
-        self.inner.put_if_version(name, data, expected)
-    }
-
-    fn size_of(&self, name: &str) -> Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, name: &str) -> Result<()> {
-        self.inner.delete(name)
-    }
-
-    fn usage(&self, prefix: &str) -> Result<u64> {
-        self.inner.usage(prefix)
-    }
 }
-
-// One scheduler serves a whole worker pool: the open-batch slot and the
-// stat counters are the only mutable state, each behind its own lock.
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<CoalescingStore<crate::InMemoryStore>>();
-};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{InMemoryStore, LatencyModel, SimulatedCloudStore};
+    use bytes::Bytes;
 
     fn blob_store() -> InMemoryStore {
         let store = InMemoryStore::new();
@@ -927,30 +887,16 @@ mod tests {
         panicked: std::sync::atomic::AtomicBool,
     }
 
-    impl ObjectStore for PanicOnceStore {
-        fn put(&self, name: &str, data: Bytes) -> Result<()> {
-            self.inner.put(name, data)
-        }
-        fn get(&self, name: &str) -> Result<Fetched> {
-            self.inner.get(name)
-        }
-        fn get_range(&self, name: &str, offset: u64, len: u64) -> Result<Fetched> {
-            self.inner.get_range(name, offset, len)
+    impl crate::StoreLayer for PanicOnceStore {
+        type Inner = InMemoryStore;
+        fn inner(&self) -> &InMemoryStore {
+            &self.inner
         }
         fn get_ranges(&self, requests: &[RangeRequest]) -> Result<BatchFetch> {
             if !self.panicked.swap(true, Ordering::SeqCst) {
                 panic!("injected backend panic");
             }
             self.inner.get_ranges(requests)
-        }
-        fn size_of(&self, name: &str) -> Result<u64> {
-            self.inner.size_of(name)
-        }
-        fn list(&self, prefix: &str) -> Result<Vec<String>> {
-            self.inner.list(prefix)
-        }
-        fn delete(&self, name: &str) -> Result<()> {
-            self.inner.delete(name)
         }
     }
 
@@ -991,23 +937,5 @@ mod tests {
             .get_ranges(&[RangeRequest::new("blob", 0, 8)])
             .unwrap();
         assert_eq!(&batch.parts[0].bytes[..], &expect(0, 8)[..]);
-    }
-
-    #[test]
-    fn writes_and_metadata_pass_through() {
-        let store = CoalescingStore::new(InMemoryStore::new());
-        store.put("x", Bytes::from_static(b"12345")).unwrap();
-        assert_eq!(store.size_of("x").unwrap(), 5);
-        assert!(store.exists("x"));
-        assert_eq!(store.get("x").unwrap().bytes.len(), 5);
-        assert_eq!(store.get_range("x", 1, 3).unwrap().bytes.len(), 3);
-        assert_eq!(store.list("").unwrap(), vec!["x".to_string()]);
-        assert_eq!(store.usage("").unwrap(), 5);
-        let v = store.version_of("x").unwrap();
-        store
-            .put_if_version("x", Bytes::from_static(b"67890"), v)
-            .unwrap();
-        store.delete("x").unwrap();
-        assert!(!store.exists("x"));
     }
 }

@@ -8,9 +8,8 @@
 //! wait/download split.
 
 use crate::latency::{seeded_rng, LatencyModel, SimDuration};
-use crate::object_store::{BatchFetch, Fetched, ObjectStore, RangeRequest, Version};
+use crate::object_store::{BatchFetch, Fetched, ObjectStore, RangeRequest};
 use crate::Result;
-use bytes::Bytes;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,13 +78,6 @@ pub struct IoStatsSnapshot {
     pub spiked: u64,
 }
 
-impl IoStatsSnapshot {
-    /// Total simulated time spent in storage I/O.
-    pub fn sim_total(&self) -> SimDuration {
-        SimDuration::from_nanos(self.sim_wait_nanos + self.sim_download_nanos)
-    }
-}
-
 #[derive(Debug, Default)]
 struct IoStats {
     read_requests: AtomicU64,
@@ -118,7 +110,6 @@ pub struct SimulatedCloudStore<S> {
     model: LatencyModel,
     rng: Mutex<StdRng>,
     stats: IoStats,
-    real_sleep: bool,
     spikes: Option<SpikeProfile>,
     /// Monotone dispatch counter driving the (deterministic) spike phase.
     dispatches: AtomicU64,
@@ -132,16 +123,9 @@ impl<S: ObjectStore> SimulatedCloudStore<S> {
             model,
             rng: Mutex::new(seeded_rng(seed)),
             stats: IoStats::default(),
-            real_sleep: false,
             spikes: None,
             dispatches: AtomicU64::new(0),
         }
-    }
-
-    /// Enable wall-clock sleeping for each simulated latency (demo mode).
-    pub fn with_real_sleep(mut self) -> Self {
-        self.real_sleep = true;
-        self
     }
 
     /// Attach a deterministic straggler profile: every `profile.every`-th
@@ -209,9 +193,6 @@ impl<S: ObjectStore> SimulatedCloudStore<S> {
         self.stats
             .sim_download_nanos
             .fetch_add(download.as_nanos(), Ordering::Relaxed);
-        if self.real_sleep {
-            std::thread::sleep((wait + download).to_std());
-        }
     }
 
     fn simulate_single(&self, bytes: u64) -> (SimDuration, SimDuration) {
@@ -223,9 +204,14 @@ impl<S: ObjectStore> SimulatedCloudStore<S> {
     }
 }
 
-impl<S: ObjectStore> ObjectStore for SimulatedCloudStore<S> {
-    fn put(&self, name: &str, data: Bytes) -> Result<()> {
-        self.inner.put(name, data)
+// Writes, conditional writes, and metadata pass through unsimulated: the
+// latency model measures the query path, and the inner store keeps the
+// atomicity.
+impl<S: ObjectStore> crate::StoreLayer for SimulatedCloudStore<S> {
+    type Inner = S;
+
+    fn inner(&self) -> &S {
+        &self.inner
     }
 
     fn get(&self, name: &str) -> Result<Fetched> {
@@ -313,35 +299,13 @@ impl<S: ObjectStore> ObjectStore for SimulatedCloudStore<S> {
             batch_download: download,
         })
     }
-
-    // Conditional writes pass through unsimulated, like `put`: the
-    // latency model measures the query path, and the inner store keeps
-    // the atomicity.
-    fn version_of(&self, name: &str) -> Result<Version> {
-        self.inner.version_of(name)
-    }
-
-    fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
-        self.inner.put_if_version(name, data, expected)
-    }
-
-    fn size_of(&self, name: &str) -> Result<u64> {
-        self.inner.size_of(name)
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        self.inner.list(prefix)
-    }
-
-    fn delete(&self, name: &str) -> Result<()> {
-        self.inner.delete(name)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{InMemoryStore, LatencyModel};
+    use bytes::Bytes;
 
     fn store_with(model: LatencyModel) -> SimulatedCloudStore<InMemoryStore> {
         let inner = InMemoryStore::new();

@@ -6,26 +6,9 @@
 //! every segment's ranged reads through one store handle
 //! (`get_ranges`). The overlay makes that possible: the memtable's
 //! mini-index and its future corpus blob are **staged** in an in-memory
-//! tail map layered over the durable store, so one `TailStore` handle
+//! tail map layered over the durable store, so one [`TailStore`] handle
 //! resolves durable blobs from the inner store and staged blobs from
 //! memory, mixed freely within a single batch.
-//!
-//! Routing rules:
-//!
-//! * Reads (`get`, `get_range`, `get_ranges`, `size_of`, `exists`,
-//!   `version_of`) consult the tail first and fall through to the inner
-//!   store. Tail hits cost zero simulated latency — they are local
-//!   memory, not cloud round trips, which is exactly the freshness story:
-//!   a just-appended doc is searchable without waiting for durability.
-//! * Writes under the configured **staging prefix** land in the tail;
-//!   everything else (real segment builds, manifests, corpus flushes)
-//!   goes straight to the inner store — so a flush pays real (simulated,
-//!   possibly fault-injected) I/O while memtable rebuilds stay free.
-//! * [`TailStore::stage`] / [`TailStore::unstage`] pin arbitrary names
-//!   into the tail regardless of prefix. Ingestion stages the corpus
-//!   batch under its *final durable name* up front, so document hits
-//!   carry identical `(blob, offset, len)` coordinates before and after
-//!   the flush makes the blob real.
 //!
 //! The overlay is a first-class [`ObjectStore`], so it composes with the
 //! rest of the stack: beneath a cache, above a [`crate::FlakyStore`] for
@@ -40,7 +23,23 @@ use std::sync::Arc;
 
 /// An in-memory tail of staged blobs layered over a durable store.
 ///
-/// See the [module docs](self) for the routing rules.
+/// Routing rules:
+///
+/// * Reads and metadata (`get`, `get_range`, `get_ranges`, `size_of`,
+///   `exists`, `version_of`) consult the tail first and fall through to
+///   the inner store; `list` and `usage` cover both. Tail hits cost zero
+///   simulated latency — they are local memory, not cloud round trips,
+///   which is exactly the freshness story: a just-appended doc is
+///   searchable without waiting for durability.
+/// * Writes under the configured **staging prefix** land in the tail;
+///   everything else (real segment builds, manifests, corpus flushes)
+///   goes straight to the inner store — so a flush pays real (simulated,
+///   possibly fault-injected) I/O while memtable rebuilds stay free.
+/// * [`TailStore::stage`] / [`TailStore::unstage`] pin arbitrary names
+///   into the tail regardless of prefix. Ingestion stages the corpus
+///   batch under its *final durable name* up front, so document hits
+///   carry identical `(blob, offset, len)` coordinates before and after
+///   the flush makes the blob real.
 pub struct TailStore {
     inner: Arc<dyn ObjectStore>,
     staging_prefix: String,
@@ -59,8 +58,8 @@ impl TailStore {
     }
 
     /// The durable store beneath the overlay.
-    pub fn inner(&self) -> &Arc<dyn ObjectStore> {
-        &self.inner
+    pub fn inner(&self) -> &dyn ObjectStore {
+        &*self.inner
     }
 
     /// The prefix whose writes are held in the tail.
@@ -138,13 +137,19 @@ impl std::fmt::Debug for TailStore {
     }
 }
 
-impl ObjectStore for TailStore {
+impl crate::StoreLayer for TailStore {
+    type Inner = dyn ObjectStore;
+
+    fn inner(&self) -> &Self::Inner {
+        &*self.inner
+    }
+
     fn put(&self, name: &str, data: Bytes) -> Result<()> {
         if name.starts_with(&self.staging_prefix) {
             self.stage(name, data);
             Ok(())
         } else {
-            self.inner.put(name, data)
+            self.inner().put(name, data)
         }
     }
 
@@ -152,13 +157,13 @@ impl ObjectStore for TailStore {
         if let Some(data) = self.tail.read().get(name) {
             return Ok(Fetched::instant(data.clone()));
         }
-        self.inner.get(name)
+        self.inner().get(name)
     }
 
     fn get_range(&self, name: &str, offset: u64, len: u64) -> Result<Fetched> {
         match self.staged_range(name, offset, len) {
             Some(res) => res,
-            None => self.inner.get_range(name, offset, len),
+            None => self.inner().get_range(name, offset, len),
         }
     }
 
@@ -179,7 +184,7 @@ impl ObjectStore for TailStore {
         } else {
             let inner_requests: Vec<RangeRequest> =
                 fallthrough.iter().map(|(_, r)| r.clone()).collect();
-            let inner_batch = self.inner.get_ranges(&inner_requests)?;
+            let inner_batch = self.inner().get_ranges(&inner_requests)?;
             for ((i, _), fetched) in fallthrough.iter().zip(inner_batch.parts) {
                 parts[*i] = Some(fetched);
             }
@@ -201,7 +206,7 @@ impl ObjectStore for TailStore {
         if let Some(data) = self.tail.read().get(name) {
             return Ok(Version::of_bytes(data));
         }
-        self.inner.version_of(name)
+        self.inner().version_of(name)
     }
 
     fn put_if_version(&self, name: &str, data: Bytes, expected: Version) -> Result<Version> {
@@ -223,22 +228,22 @@ impl ObjectStore for TailStore {
             tail.insert(name.to_owned(), data);
             return Ok(next);
         }
-        self.inner.put_if_version(name, data, expected)
+        self.inner().put_if_version(name, data, expected)
     }
 
     fn size_of(&self, name: &str) -> Result<u64> {
         if let Some(data) = self.tail.read().get(name) {
             return Ok(data.len() as u64);
         }
-        self.inner.size_of(name)
+        self.inner().size_of(name)
     }
 
     fn exists(&self, name: &str) -> bool {
-        self.is_staged(name) || self.inner.exists(name)
+        self.is_staged(name) || self.inner().exists(name)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        let mut names = self.inner.list(prefix)?;
+        let mut names = self.inner().list(prefix)?;
         {
             let tail = self.tail.read();
             names.extend(
@@ -256,7 +261,17 @@ impl ObjectStore for TailStore {
         if self.tail.write().remove(name).is_some() {
             return Ok(());
         }
-        self.inner.delete(name)
+        self.inner().delete(name)
+    }
+
+    // Staged blobs count. The layer default (`inner.usage`) would miss
+    // them, and the memtable sizes its staged mini-index through this.
+    fn usage(&self, prefix: &str) -> Result<u64> {
+        let mut total = 0;
+        for name in ObjectStore::list(self, prefix)? {
+            total += ObjectStore::size_of(self, &name)?;
+        }
+        Ok(total)
     }
 }
 
