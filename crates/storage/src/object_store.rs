@@ -400,6 +400,18 @@ mod tests {
     }
 
     #[test]
+    fn arc_blanket_impl_works() {
+        let arc = std::sync::Arc::new(InMemoryStore::new());
+        // `StoreLayer` is in scope here too, so plain method calls on the
+        // `Arc` are ambiguous; go through `dyn ObjectStore` instead.
+        let store: &dyn ObjectStore = &arc;
+        store.put("x", Bytes::from_static(b"12345")).unwrap();
+        assert_eq!(store.size_of("x").unwrap(), 5);
+        assert!(store.exists("x"));
+        assert!(!store.exists("y"));
+    }
+
+    #[test]
     fn usage_sums_over_prefix() {
         let store = InMemoryStore::new();
         store

@@ -938,4 +938,22 @@ mod tests {
             .unwrap();
         assert_eq!(&batch.parts[0].bytes[..], &expect(0, 8)[..]);
     }
+
+    #[test]
+    fn writes_and_metadata_pass_through() {
+        let store = CoalescingStore::new(InMemoryStore::new());
+        store.put("x", Bytes::from_static(b"12345")).unwrap();
+        assert_eq!(store.size_of("x").unwrap(), 5);
+        assert!(store.exists("x"));
+        assert_eq!(store.get("x").unwrap().bytes.len(), 5);
+        assert_eq!(store.get_range("x", 1, 3).unwrap().bytes.len(), 3);
+        assert_eq!(store.list("").unwrap(), vec!["x".to_string()]);
+        assert_eq!(store.usage("").unwrap(), 5);
+        let v = store.version_of("x").unwrap();
+        store
+            .put_if_version("x", Bytes::from_static(b"67890"), v)
+            .unwrap();
+        store.delete("x").unwrap();
+        assert!(!store.exists("x"));
+    }
 }
