@@ -1,11 +1,11 @@
-//! Scatter-gather scaling: shard count vs lookup wait, tail latency,
-//! and served throughput on the simulated cloud.
+//! Sharded scaling: shard count vs lookup wait, tail latency, and served
+//! throughput on the simulated cloud.
 //!
 //! Hash-partitioning the corpus across N independent segmented indexes
 //! multiplies build and compaction parallelism, but it only helps
-//! serving if the scatter-gather fan-out *overlaps*: an N-shard query
-//! must still pay one dependent postings round trip and one document
-//! round trip (max over shards), not N of each. This binary:
+//! serving if the shards share their round trips: an N-shard query must
+//! still pay one postings batch and one document batch covering every
+//! shard, not N of each. This binary:
 //!
 //! 1. builds the same zipf corpus into sharded layouts of 1, 2, 4, and
 //!    8 shards over a simulated gcs-like link;
@@ -18,7 +18,7 @@
 //! 4. serves the workload through a [`QueryServer`] (8 workers) and
 //!    reports closed-loop simulated QPS per shard count.
 //!
-//! Exit code is non-zero if the overlap bar or the equivalence check
+//! Exit code is non-zero if the wait bar or the equivalence check
 //! fails, so CI can smoke this binary. The headline metric
 //! (`BENCH_sharded.json`) is the 8-shard mean lookup wait.
 
@@ -176,7 +176,7 @@ fn main() {
 
     let overlap_ok = eight_wait <= 1.5 * single_wait;
     println!(
-        "scatter-gather overlap (8-shard wait {} within 1.5x single-shard {}): {}",
+        "shared round trips (8-shard wait {} within 1.5x single-shard {}): {}",
         ms(eight_wait),
         ms(single_wait),
         if overlap_ok { "OK" } else { "FAIL" }

@@ -26,8 +26,8 @@ use airphant::{
 };
 use airphant_corpus::{Corpus, LineSplitter, NgramTokenizer, Tokenizer, WhitespaceTokenizer};
 use airphant_storage::{
-    CachedStore, CoalescingStore, LatencyModel, LocalFsStore, ObjectStore, SchedulerConfig,
-    SimDuration, SimulatedCloudStore,
+    CachedStore, CoalescingStore, LatencyModel, LocalFsStore, ObjectStore, SimDuration,
+    SimulatedCloudStore,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -149,11 +149,10 @@ sustained ingest throughput, freshness-probe latency, and the flush
 counters. --docs N sizes the stream (default 20000); --batch N is the
 group-commit seal threshold (default 1024).
 
---coalesce inserts the cross-query I/O scheduler below the cache: each
-batch's overlapping/adjacent ranges merge into fewer larger reads, and
-concurrent workers' batches fuse into one shared backend round trip
-(see docs/adr/005-io-scheduler.md). The scheduler's counters are
-printed after the run.";
+--coalesce inserts the I/O scheduler below the cache: each batch's
+overlapping/adjacent ranges merge into fewer larger reads (see
+docs/adr/005-io-scheduler.md). The scheduler's counters are printed
+after the run.";
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -733,20 +732,14 @@ fn search(args: &mut Args) -> Result<(), String> {
         store
     };
     // The I/O scheduler merges each planner batch's overlapping/adjacent
-    // ranges into fewer backend reads. A single CLI query has no
-    // concurrent peers to fuse with, so the window stays closed.
-    let scheduler = coalesce.then(|| {
-        Arc::new(CoalescingStore::with_config(
-            store.clone(),
-            SchedulerConfig::new().coalesce_only(),
-        ))
-    });
+    // ranges into fewer backend reads.
+    let scheduler = coalesce.then(|| Arc::new(CoalescingStore::new(store.clone())));
     let store: Arc<dyn ObjectStore> = match &scheduler {
         Some(s) => s.clone(),
         None => store,
     };
     // A shard layout under the prefix means a *sharded* index (created
-    // via build --shards): scatter the query across every shard. A
+    // via build --shards): one batch per phase covers every shard. A
     // manifest means a *segmented* index (build --append): open the
     // whole live set instead of one header.
     let sharded = ShardRouter::is_sharded(&store, &index);
@@ -920,9 +913,9 @@ fn bench_serve(args: &mut Args) -> Result<(), String> {
     }
 
     // The serving stack: local blobs → simulated cloud link → (optional
-    // cross-query I/O scheduler) → one shared byte-budgeted cache → one
-    // shared Searcher → the closed-loop server. The scheduler sits BELOW the
-    // cache so that only misses coalesce and fuse (ADR-005).
+    // I/O scheduler) → one shared byte-budgeted cache → one shared
+    // Searcher → the closed-loop server. The scheduler sits BELOW the
+    // cache so that only misses coalesce (ADR-005).
     let sim: Arc<dyn ObjectStore> = Arc::new(SimulatedCloudStore::new(
         store,
         LatencyModel::gcs_like(),
@@ -948,12 +941,8 @@ fn bench_serve(args: &mut Args) -> Result<(), String> {
         config = config.with_deadline(SimDuration::from_millis(ms));
     }
     let cache_for_stats = cache.clone();
-    let mut server = QueryServer::start(Arc::new(searcher), config)
+    let server = QueryServer::start(Arc::new(searcher), config)
         .with_cache_stats(move || cache_for_stats.hit_stats());
-    if let Some(s) = &scheduler {
-        let s = s.clone();
-        server = server.with_scheduler_stats(move || s.stats());
-    }
 
     let opts = QueryOptions::new().with_top_k(top_k);
     let mut tickets = Vec::with_capacity(queries);
@@ -983,11 +972,11 @@ fn bench_serve(args: &mut Args) -> Result<(), String> {
         stats.qps_sim, stats.qps_wall, stats.sim_makespan,
     );
     print_latency_and_cache(&stats);
-    if let Some(sched) = stats.scheduler {
+    if let Some(s) = &scheduler {
+        let sched = s.stats();
         println!(
-            "i/o scheduler: {} range(s) merged, {} fused cross-query batch(es), \
-             {} bytes saved, {} backend batch(es)",
-            sched.merged_ranges, sched.fused_batches, sched.bytes_saved, sched.backend_batches,
+            "i/o scheduler: {} range(s) merged, {} bytes saved, {} backend batch(es)",
+            sched.merged_ranges, sched.bytes_saved, sched.backend_batches,
         );
     }
     println!(

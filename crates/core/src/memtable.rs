@@ -258,14 +258,14 @@ impl SearchEngine for Memtable {
 
     fn lookup(&self, word: &str) -> Result<(PostingsList, QueryTrace)> {
         self.with_searcher(|s| match s {
-            Some(s) => crate::plan::lookup_over(&[s], &Query::term(word)),
+            Some(s) => crate::plan::lookup_over(&[&[s]], &Query::term(word)),
             None => Ok((PostingsList::new(), QueryTrace::new())),
         })?
     }
 
     fn execute(&self, query: &Query, opts: &QueryOptions) -> Result<SearchResult> {
         self.with_searcher(|s| match s {
-            Some(s) => crate::plan::execute_over(&[s], query, opts),
+            Some(s) => crate::plan::execute_single(&[s], query, opts),
             None => Ok(SearchResult {
                 hits: Vec::new(),
                 trace: QueryTrace::new(),
@@ -574,11 +574,11 @@ impl SearchEngine for LiveIndex {
     }
 
     fn lookup(&self, word: &str) -> Result<(PostingsList, QueryTrace)> {
-        self.with_all_segments(|refs| crate::plan::lookup_over(refs, &Query::term(word)))?
+        self.with_all_segments(|refs| crate::plan::lookup_over(&[refs], &Query::term(word)))?
     }
 
     fn execute(&self, query: &Query, opts: &QueryOptions) -> Result<SearchResult> {
-        self.with_all_segments(|refs| crate::plan::execute_over(refs, query, opts))?
+        self.with_all_segments(|refs| crate::plan::execute_single(refs, query, opts))?
     }
 
     fn index_bytes(&self) -> u64 {

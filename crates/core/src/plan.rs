@@ -18,6 +18,12 @@
 //! shape — `trace.round_trips_of(PhaseKind::Postings) == 1` is asserted
 //! in the test suite.
 //!
+//! **Groups.** A sharded query plans each shard as one group of
+//! segments. Each group expands Prefix/Fuzzy atoms against its own
+//! vocabularies and completes against its own slice of the parts, but
+//! the requests of every group go out together: N shards still cost one
+//! postings batch and at most one documents batch.
+//!
 //! [`QueryOptions::straggler`] (§IV-G) picks which parts of that batch a
 //! query waits for (`keep_parts`), the same way on every driver.
 
@@ -27,41 +33,51 @@ use crate::retrieval::BlobResolver;
 use crate::searcher::{sample_postings, seed_for, Searcher};
 use crate::Result;
 use airphant_corpus::Tokenizer;
-use airphant_storage::{BatchFetch, ObjectStore, PhaseKind, QueryTrace, RangeRequest, SimDuration};
+use airphant_storage::{
+    BatchFetch, Fetched, ObjectStore, PhaseKind, QueryTrace, RangeRequest, SimDuration,
+};
 use iou_sketch::mht::WordLookup;
 use iou_sketch::{intersect_views, sample_size_for_top_k, Posting, PostingsList, SuperpostView};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Per-atom postings for each segment, resolved in one storage batch.
 pub(crate) type SegmentAtomPostings = Vec<HashMap<String, PostingsList>>;
 
-/// Stage-1 output of the postings phase: the deduplicated batch of ranged
-/// reads, plus — per segment and atom — the request indices whose decoded
-/// superposts intersect to that atom's postings.
+/// Stage-1 output of the postings phase for one group of segments: its
+/// slice of the batch's parts, plus — per segment and atom — the part
+/// indices (relative to that slice) whose decoded superposts intersect
+/// to that atom's postings.
 ///
 /// Splitting the plan from its completion lets a driver *suspend* between
-/// dispatching `requests` and decoding the returned batch; the serving
+/// dispatching the requests and decoding the returned batch; the serving
 /// core ([`crate::serve`]) parks the query on the simulated clock during
 /// that window while a direct `execute` simply calls straight through.
 /// Both paths share this code, so their results are byte-for-byte
 /// identical by construction.
 pub(crate) struct PostingsPlan {
-    /// Deduplicated ranged reads covering every atom in every segment.
-    pub(crate) requests: Vec<RangeRequest>,
-    /// Per segment, per atom: `(atom_idx, request indices)`.
+    /// This group's parts of the batch.
+    parts: Range<usize>,
+    /// Per segment, per atom: `(atom_idx, part indices within `parts`)`.
     fetch_plan: Vec<Vec<(usize, Vec<usize>)>>,
 }
 
-/// Plan the postings phase: coalesce every superpost pointer — across
-/// atoms, layers, and segments — into one deduplicated request vector.
-pub(crate) fn plan_postings(segments: &[&Searcher], atoms: &[String]) -> PostingsPlan {
-    let mut requests: Vec<RangeRequest> = Vec::new();
+/// Plan one group's postings phase: coalesce every superpost pointer —
+/// across atoms, layers, and segments — into deduplicated requests
+/// appended to `requests`, the batch shared by every group.
+pub(crate) fn plan_postings(
+    segments: &[&Searcher],
+    atoms: &[String],
+    requests: &mut Vec<RangeRequest>,
+) -> PostingsPlan {
+    let base = requests.len();
     let mut request_index: HashMap<(String, u64, u64), usize> = HashMap::new();
     let mut push_request = |req: RangeRequest, requests: &mut Vec<RangeRequest>| -> usize {
         let key = (req.name.clone(), req.offset, req.len);
         *request_index.entry(key).or_insert_with(|| {
             requests.push(req);
-            requests.len() - 1
+            requests.len() - 1 - base
         })
     };
 
@@ -78,7 +94,7 @@ pub(crate) fn plan_postings(segments: &[&Searcher], atoms: &[String]) -> Posting
                         ptr.offset,
                         ptr.len as u64,
                     ),
-                    &mut requests,
+                    requests,
                 )],
                 WordLookup::Sketched(ptrs) => ptrs
                     .iter()
@@ -89,7 +105,7 @@ pub(crate) fn plan_postings(segments: &[&Searcher], atoms: &[String]) -> Posting
                                 p.offset,
                                 p.len as u64,
                             ),
-                            &mut requests,
+                            requests,
                         )
                     })
                     .collect(),
@@ -100,7 +116,7 @@ pub(crate) fn plan_postings(segments: &[&Searcher], atoms: &[String]) -> Posting
     }
 
     PostingsPlan {
-        requests,
+        parts: base..requests.len(),
         fetch_plan,
     }
 }
@@ -116,40 +132,43 @@ pub(crate) struct KeptParts {
     pub(crate) download: SimDuration,
 }
 
-/// Pick the parts of a postings batch that `policy` keeps. Per segment
-/// and atom: the `k` layers with the earliest first byte
+/// Pick the parts of a postings batch that `policy` keeps. Per group,
+/// segment and atom: the `k` layers with the earliest first byte
 /// ([`Straggler::Fastest`]), or those whose first byte arrives within
 /// the timeout and else the single fastest ([`Straggler::Timeout`]) — so
 /// a common word's single exact pointer is always kept. A part kept for
 /// one atom is intersected by every atom that points at it: its bytes
-/// have arrived anyway. `None` keeps every part (always so under
+/// have arrived anyway. The query is charged the union of the kept parts
+/// over all `plans`. `None` keeps every part (always so under
 /// [`Straggler::WaitAll`], which allocates nothing): the batch is charged
 /// and intersected whole.
 pub(crate) fn keep_parts(
-    plan: &PostingsPlan,
-    batch: &BatchFetch,
+    plans: &[PostingsPlan],
+    parts: &[Fetched],
     policy: Straggler,
 ) -> Option<Box<KeptParts>> {
     if policy == Straggler::WaitAll {
         return None;
     }
-    let first_byte = |i: usize| batch.parts[i].latency.first_byte;
-    let mut mask = vec![false; plan.requests.len()];
+    let first_byte = |i: usize| parts[i].latency.first_byte;
+    let mut mask = vec![false; parts.len()];
     let mut order: Vec<usize> = Vec::new();
-    for (_, indices) in plan.fetch_plan.iter().flatten() {
-        order.clear();
-        order.extend_from_slice(indices);
-        order.sort_by_key(|&i| first_byte(i));
-        let keep = match policy {
-            Straggler::WaitAll => order.len(),
-            Straggler::Fastest(k) => k,
-            Straggler::Timeout(timeout) => order
-                .iter()
-                .take_while(|&&i| first_byte(i) <= timeout)
-                .count(),
-        };
-        for &i in order.iter().take(keep.max(1)) {
-            mask[i] = true;
+    for plan in plans {
+        for (_, indices) in plan.fetch_plan.iter().flatten() {
+            order.clear();
+            order.extend(indices.iter().map(|&i| plan.parts.start + i));
+            order.sort_by_key(|&i| first_byte(i));
+            let keep = match policy {
+                Straggler::WaitAll => order.len(),
+                Straggler::Fastest(k) => k,
+                Straggler::Timeout(timeout) => order
+                    .iter()
+                    .take_while(|&&i| first_byte(i) <= timeout)
+                    .count(),
+            };
+            for &i in order.iter().take(keep.max(1)) {
+                mask[i] = true;
+            }
         }
     }
     if mask.iter().all(|&kept| kept) {
@@ -162,7 +181,7 @@ pub(crate) fn keep_parts(
         wait: SimDuration::ZERO,
         download: SimDuration::ZERO,
     });
-    for (part, _) in batch.parts.iter().zip(&kept.mask).filter(|&(_, &k)| k) {
+    for (part, _) in parts.iter().zip(&kept.mask).filter(|&(_, &k)| k) {
         kept.requests += 1;
         kept.bytes += part.bytes.len() as u64;
         kept.wait = kept.wait.max(part.latency.first_byte);
@@ -171,23 +190,26 @@ pub(crate) fn keep_parts(
     Some(kept)
 }
 
-/// Complete the postings phase from a fetched batch: decode each distinct
-/// kept range at most once, intersect per atom, and charge the decode
-/// work as compute on `trace`. `kept` is [`keep_parts`]'s answer (`None`
-/// keeps every part). The caller records the batch itself (a direct
-/// `execute` in [`lookup_atoms`], the serving core with its
-/// possibly-hedged wait). When the plan had no requests, `batch` may be empty and every
-/// segment resolves to an empty map.
+/// Complete one group's postings phase from the fetched batch's `parts`
+/// (every group's): decode each distinct kept part of the group's slice
+/// at most once, intersect per atom, and charge the decode work as
+/// compute on `trace`. `kept` is [`keep_parts`]'s answer (`None` keeps
+/// every part). The caller records the batch itself (a direct `execute`
+/// in [`lookup_atoms`], the serving core with its possibly-hedged wait).
+/// A group that planned no requests resolves every segment to an empty
+/// map.
 pub(crate) fn complete_postings(
     plan: &PostingsPlan,
     atoms: &[String],
-    batch: &BatchFetch,
+    parts: &[Fetched],
     kept: Option<&KeptParts>,
     trace: &mut QueryTrace,
 ) -> Result<SegmentAtomPostings> {
-    if plan.requests.is_empty() {
+    if plan.parts.is_empty() {
         return Ok(plan.fetch_plan.iter().map(|_| HashMap::new()).collect());
     }
+    let parts = &parts[plan.parts.clone()];
+    let mask = kept.map(|k| &k.mask[plan.parts.clone()]);
 
     let compute_start = std::time::Instant::now();
     // Validate each distinct range at most once into a zero-copy
@@ -195,12 +217,12 @@ pub(crate) fn complete_postings(
     // materialization. Views are shared between atoms (hash collisions)
     // and repeats across the query; atoms then intersect lazily over the
     // views, so the only per-atom allocation is the intersection output.
-    let mut decoded: Vec<Option<SuperpostView>> = vec![None; plan.requests.len()];
+    let mut decoded: Vec<Option<SuperpostView>> = vec![None; parts.len()];
     for seg_plan in &plan.fetch_plan {
         for (_, indices) in seg_plan {
             for &i in indices {
-                if decoded[i].is_none() && kept.is_none_or(|k| k.mask[i]) {
-                    decoded[i] = Some(SuperpostView::parse(batch.parts[i].bytes.clone())?);
+                if decoded[i].is_none() && mask.is_none_or(|m| m[i]) {
+                    decoded[i] = Some(SuperpostView::parse(parts[i].bytes.clone())?);
                 }
             }
         }
@@ -224,32 +246,52 @@ pub(crate) fn complete_postings(
     Ok(out)
 }
 
-/// Resolve `atoms` against every segment's MHT and fetch all superposts
-/// in a single concurrent batch, recording one [`PhaseKind::Postings`]
-/// phase on `trace`. Returns, per segment, each atom's intersected
-/// postings list over the parts `policy` keeps.
-pub(crate) fn lookup_atoms(
-    segments: &[&Searcher],
-    atoms: &[String],
+/// Send `requests` as one batch through the store every group reads
+/// (all segments share one store); `None` when there is nothing to fetch.
+fn fetch_batch(groups: &[&[&Searcher]], requests: &[RangeRequest]) -> Result<Option<BatchFetch>> {
+    match groups.iter().flat_map(|g| g.iter()).next() {
+        Some(segment) if !requests.is_empty() => {
+            Ok(Some(segment.store_dyn().get_ranges(requests)?))
+        }
+        _ => Ok(None),
+    }
+}
+
+/// Resolve each group's atoms against its segments' MHTs and fetch
+/// every group's superposts in a single concurrent batch, recording one
+/// [`PhaseKind::Postings`] phase on `trace`. Returns, per group and
+/// segment, each atom's intersected postings list over the parts
+/// `policy` keeps.
+fn lookup_atoms(
+    groups: &[&[&Searcher]],
+    queries: &[GroupQuery],
     policy: Straggler,
     trace: &mut QueryTrace,
-) -> Result<SegmentAtomPostings> {
-    let plan = plan_postings(segments, atoms);
-    if plan.requests.is_empty() {
-        return Ok(segments.iter().map(|_| HashMap::new()).collect());
-    }
+) -> Result<Vec<SegmentAtomPostings>> {
+    let mut requests: Vec<RangeRequest> = Vec::new();
+    let plans: Vec<PostingsPlan> = groups
+        .iter()
+        .zip(queries)
+        .map(|(segments, q)| plan_postings(segments, &q.atoms, &mut requests))
+        .collect();
 
     // --- Execute: one batch of concurrent ranged reads for everything.
-    let batch = segments[0].store_dyn().get_ranges(&plan.requests)?;
-    let kept = keep_parts(&plan, &batch, policy);
+    let batch = fetch_batch(groups, &requests)?;
+    let parts = batch.as_ref().map_or(&[][..], |b| &b.parts[..]);
+    let kept = keep_parts(&plans, parts, policy);
     // Still one round trip: the stragglers were aborted, not re-requested.
-    match &kept {
-        None => trace.record_batch(PhaseKind::Postings, &batch),
-        Some(k) => {
+    match (&batch, &kept) {
+        (None, _) => {}
+        (Some(batch), None) => trace.record_batch(PhaseKind::Postings, batch),
+        (Some(_), Some(k)) => {
             trace.record_concurrent(PhaseKind::Postings, k.requests, k.bytes, k.wait, k.download)
         }
     }
-    complete_postings(&plan, atoms, &batch, kept.as_deref(), trace)
+    plans
+        .iter()
+        .zip(queries)
+        .map(|(plan, q)| complete_postings(plan, &q.atoms, parts, kept.as_deref(), trace))
+        .collect()
 }
 
 /// Evaluate `query` over one segment's atom postings.
@@ -257,49 +299,71 @@ fn evaluate_segment(query: &Query, atom_postings: &HashMap<String, PostingsList>
     query.evaluate(&|w| atom_postings.get(w).cloned().unwrap_or_default())
 }
 
-/// Index-lookup phase only: plan, fetch one superpost batch, evaluate
-/// the boolean algebra. Returns the union of every segment's candidate
-/// postings and the lookup trace (exactly one round trip).
+/// One group's query, rewritten against the group's own vocabularies,
+/// and its atoms. Expansion stays per group: a shard's query names only
+/// terms that shard holds.
+struct GroupQuery<'q> {
+    query: Cow<'q, Query>,
+    atoms: Vec<String>,
+}
+
+/// Expand `query` for every group, in group order.
+fn expand_groups<'q>(groups: &[&[&Searcher]], query: &'q Query) -> Result<Vec<GroupQuery<'q>>> {
+    groups
+        .iter()
+        .map(|segments| {
+            let query = crate::expand::expand_for_segments(query, segments)?;
+            let atoms = query.atoms()?;
+            Ok(GroupQuery { query, atoms })
+        })
+        .collect()
+}
+
+/// Index-lookup phase only: plan every group, fetch one superpost batch,
+/// evaluate the boolean algebra. Returns the union of every segment's
+/// candidate postings and the lookup trace (exactly one round trip).
 pub(crate) fn lookup_over(
-    segments: &[&Searcher],
+    groups: &[&[&Searcher]],
     query: &Query,
 ) -> Result<(PostingsList, QueryTrace)> {
-    let query = crate::expand::expand_for_segments(query, segments)?;
-    let query = query.as_ref();
-    let atoms = query.atoms()?;
+    let queries = expand_groups(groups, query)?;
     let mut trace = QueryTrace::new();
-    let maps = lookup_atoms(segments, &atoms, Straggler::WaitAll, &mut trace)?;
+    let maps = lookup_atoms(groups, &queries, Straggler::WaitAll, &mut trace)?;
     let mut out = PostingsList::new();
-    for map in &maps {
-        out.union_with(&evaluate_segment(query, map));
+    for (q, maps) in queries.iter().zip(&maps) {
+        for map in maps {
+            out.union_with(&evaluate_segment(&q.query, map));
+        }
     }
     Ok((out, trace))
 }
 
-/// Stage-2 output of the document phase: the candidate documents to
-/// fetch (one coalesced batch across segments) plus which segment each
-/// request belongs to, so completion can use the right tokenizer.
+/// Stage-2 output of the document phase for one group: its slice of the
+/// document batch plus which segment each part belongs to, so completion
+/// can use the right tokenizer.
 pub(crate) struct DocPlan {
-    /// One document range per surviving candidate, in segment order.
-    pub(crate) requests: Vec<RangeRequest>,
-    /// Owning segment index per request.
+    /// This group's parts of the batch: one per surviving candidate, in
+    /// segment order.
+    parts: Range<usize>,
+    /// Owning segment index per part.
     doc_segments: Vec<usize>,
     /// Total candidates across segments before sampling/filtering.
     candidates_total: usize,
 }
 
-/// Plan the document phase from resolved atom postings: evaluate the
-/// boolean algebra per segment, apply the sampled fetch on the
-/// single-keyword + top-k fast path (Equation 6), and resolve every
-/// surviving posting to a document range.
+/// Plan one group's document phase from its resolved atom postings:
+/// evaluate the boolean algebra per segment, apply the sampled fetch on
+/// the single-keyword + top-k fast path (Equation 6), and append a
+/// document range per surviving posting to `requests`.
 pub(crate) fn plan_documents(
     segments: &[&Searcher],
     query: &Query,
     opts: &QueryOptions,
     maps: &SegmentAtomPostings,
+    requests: &mut Vec<RangeRequest>,
 ) -> DocPlan {
+    let base = requests.len();
     let mut candidates_total = 0usize;
-    let mut doc_requests: Vec<RangeRequest> = Vec::new();
     let mut doc_segments: Vec<usize> = Vec::new();
     for (seg_idx, (searcher, map)) in segments.iter().zip(maps).enumerate() {
         let candidates = evaluate_segment(query, map);
@@ -321,23 +385,25 @@ pub(crate) fn plan_documents(
         let resolver = searcher.mht().string_table();
         for p in &to_fetch {
             let name = resolver.resolve(p.blob).unwrap_or_default().to_owned();
-            doc_requests.push(RangeRequest::new(name, p.offset, p.len as u64));
+            requests.push(RangeRequest::new(name, p.offset, p.len as u64));
             doc_segments.push(seg_idx);
         }
     }
     DocPlan {
-        requests: doc_requests,
+        parts: base..requests.len(),
         doc_segments,
         candidates_total,
     }
 }
 
-/// Complete the document phase: run the exact verify pass over the
-/// fetched candidate documents (perfect precision, §III-C) and assemble
-/// the final [`SearchResult`]. `batch` must be `Some` exactly when the
-/// plan had requests; the caller records the batch on `trace` before
-/// calling (a direct execute and the serving core charge different
-/// waits).
+/// Complete one group's document phase: run the exact verify pass over
+/// its slice of the fetched candidate documents (perfect precision,
+/// §III-C) and assemble the group's [`SearchResult`], truncated to
+/// `top_k`. `requests` and `parts` are the whole document batch (empty
+/// when no group planned a document); the caller records the batch on
+/// `trace` before calling (a direct execute and the serving core charge
+/// different waits). The result carries no trace: the caller attaches
+/// the query's.
 ///
 /// This intentionally does not reuse `retrieval::fetch_and_filter`: that
 /// helper issues its own `get_ranges` per call with a single blob
@@ -349,17 +415,17 @@ pub(crate) fn complete_documents(
     query: &Query,
     opts: &QueryOptions,
     plan: &DocPlan,
-    batch: Option<&BatchFetch>,
-    mut trace: QueryTrace,
+    requests: &[RangeRequest],
+    parts: &[Fetched],
+    trace: &mut QueryTrace,
 ) -> SearchResult {
     let mut hits = Vec::new();
     let mut dropped = 0usize;
-    if let Some(batch) = batch {
+    if !plan.parts.is_empty() {
         let filter_start = std::time::Instant::now();
-        for ((req, part), &seg_idx) in plan
-            .requests
+        for ((req, part), &seg_idx) in requests[plan.parts.clone()]
             .iter()
-            .zip(batch.parts.iter())
+            .zip(&parts[plan.parts.clone()])
             .zip(&plan.doc_segments)
         {
             let text = String::from_utf8_lossy(&part.bytes).into_owned();
@@ -386,53 +452,73 @@ pub(crate) fn complete_documents(
     }
     SearchResult {
         hits,
-        trace: if opts.capture_trace {
-            trace
-        } else {
-            QueryTrace::new()
-        },
+        trace: QueryTrace::new(),
         candidates: plan.candidates_total,
         false_positives_removed: dropped,
     }
 }
 
-/// Full planned execution over one or more segments: one superpost batch,
-/// boolean evaluation, one document batch, exact verify. This is the
-/// synchronous driver over the staged halves
+/// Full planned execution over groups of segments (one group per shard,
+/// or a single group for one index): one superpost batch and one
+/// document batch, each covering every group, then boolean evaluation
+/// and exact verify per group. Returns each group's result (hits
+/// truncated to `top_k` per group, no trace) and the query's one trace
+/// (empty unless `opts.capture_trace`).
+///
+/// This is the synchronous driver over the staged halves
 /// ([`plan_postings`]/[`complete_postings`],
-/// [`plan_documents`]/[`complete_documents`]); the serving core
-/// drives the *same* stages with suspension points between dispatch and
-/// completion.
+/// [`plan_documents`]/[`complete_documents`]); the serving core drives
+/// the *same* stages for one group with suspension points between
+/// dispatch and completion.
 pub(crate) fn execute_over(
+    groups: &[&[&Searcher]],
+    query: &Query,
+    opts: &QueryOptions,
+) -> Result<(Vec<SearchResult>, QueryTrace)> {
+    // Resolve vocabulary atoms (Prefix/Fuzzy/short Substring) to term
+    // unions first; each group's expanded query drives BOTH its postings
+    // algebra and its verify pass below, which is what makes expansion
+    // exact.
+    let queries = expand_groups(groups, query)?;
+    let mut trace = QueryTrace::new();
+    let maps = lookup_atoms(groups, &queries, opts.straggler, &mut trace)?;
+
+    let mut requests: Vec<RangeRequest> = Vec::new();
+    let doc_plans: Vec<DocPlan> = groups
+        .iter()
+        .zip(&queries)
+        .zip(&maps)
+        .map(|((segments, q), maps)| plan_documents(segments, &q.query, opts, maps, &mut requests))
+        .collect();
+    let batch = fetch_batch(groups, &requests)?;
+    if let Some(batch) = &batch {
+        trace.record_batch(PhaseKind::Documents, batch);
+    }
+    let parts = batch.as_ref().map_or(&[][..], |b| &b.parts[..]);
+    let results = groups
+        .iter()
+        .zip(&queries)
+        .zip(&doc_plans)
+        .map(|((segments, q), plan)| {
+            complete_documents(segments, &q.query, opts, plan, &requests, parts, &mut trace)
+        })
+        .collect();
+    if !opts.capture_trace {
+        trace = QueryTrace::new();
+    }
+    Ok((results, trace))
+}
+
+/// [`execute_over`] for a single group: its result, carrying the trace.
+pub(crate) fn execute_single(
     segments: &[&Searcher],
     query: &Query,
     opts: &QueryOptions,
 ) -> Result<SearchResult> {
-    // Resolve vocabulary atoms (Prefix/Fuzzy/short Substring) to term
-    // unions first; the expanded query drives BOTH the postings algebra
-    // and the verify pass below, which is what makes expansion exact.
-    let query = crate::expand::expand_for_segments(query, segments)?;
-    let query = query.as_ref();
-    let atoms = query.atoms()?;
-    let mut trace = QueryTrace::new();
-    let maps = lookup_atoms(segments, &atoms, opts.straggler, &mut trace)?;
-
-    let doc_plan = plan_documents(segments, query, opts, &maps);
-    let batch = if doc_plan.requests.is_empty() {
-        None
-    } else {
-        let batch = segments[0].store_dyn().get_ranges(&doc_plan.requests)?;
-        trace.record_batch(PhaseKind::Documents, &batch);
-        Some(batch)
-    };
-    Ok(complete_documents(
-        segments,
-        query,
-        opts,
-        &doc_plan,
-        batch.as_ref(),
-        trace,
-    ))
+    let (mut results, trace) = execute_over(&[segments], query, opts)?;
+    let mut result = results.pop().expect("one result per group");
+    result.trace = trace;
+    Ok(result)
 }
 
 /// Generic executor for engines without a coalescing planner (the

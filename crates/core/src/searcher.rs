@@ -181,7 +181,7 @@ impl Searcher {
         query: &crate::Query,
         opts: &crate::QueryOptions,
     ) -> Result<SearchResult> {
-        crate::plan::execute_over(&[self], query, opts)
+        crate::plan::execute_single(&[self], query, opts)
     }
 
     /// Index-lookup phase of [`Searcher::execute`] only: resolve the whole
@@ -191,7 +191,7 @@ impl Searcher {
     ///
     /// [`Query::term`]: crate::Query::term
     pub fn execute_lookup(&self, query: &crate::Query) -> Result<(PostingsList, QueryTrace)> {
-        crate::plan::lookup_over(&[self], query)
+        crate::plan::lookup_over(&[&[self]], query)
     }
 
     /// Full keyword search (§II-A workflow): lookup, then fetch candidate

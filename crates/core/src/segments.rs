@@ -422,7 +422,7 @@ impl SegmentedSearcher {
         opts: &crate::QueryOptions,
     ) -> Result<SearchResult> {
         let refs: Vec<&Searcher> = self.searchers.iter().collect();
-        crate::plan::execute_over(&refs, query, opts)
+        crate::plan::execute_single(&refs, query, opts)
     }
 
     /// Index-lookup phase only: the whole query's candidate postings,
@@ -432,7 +432,7 @@ impl SegmentedSearcher {
         query: &crate::Query,
     ) -> Result<(iou_sketch::PostingsList, QueryTrace)> {
         let refs: Vec<&Searcher> = self.searchers.iter().collect();
-        crate::plan::lookup_over(&refs, query)
+        crate::plan::lookup_over(&[&refs], query)
     }
 
     /// Single-keyword search across all segments; thin shim over

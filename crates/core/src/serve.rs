@@ -69,7 +69,7 @@ use crate::result::SearchResult;
 use crate::Result;
 use airphant_storage::{
     BatchFetch, ObjectStore, PhaseKind, QueryTrace, RangeRequest, ReplicatedStore,
-    ReplicationStats, SchedulerStats, SimDuration, StorageError,
+    ReplicationStats, SimDuration, StorageError,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -235,10 +235,6 @@ pub struct ServerStats {
     pub latency_p99_ms: f64,
     /// `(hits, misses)` of the shared cache, when one is attached.
     pub cache: Option<(u64, u64)>,
-    /// Counters of the shared I/O scheduler
-    /// ([`CoalescingStore`](airphant_storage::CoalescingStore)), when one
-    /// is attached: merged ranges, fused cross-query batches, bytes saved.
-    pub scheduler: Option<SchedulerStats>,
     /// Peak concurrently admitted queries: at most `workers +
     /// queue_capacity` for [`QueryServer`]; for [`AsyncQueryServer`] the
     /// true peak of suspended queries (tens of thousands over a handful of
@@ -346,19 +342,6 @@ impl QueryServer {
     pub fn with_cache_stats(self, stats: impl Fn() -> (u64, u64) + Send + Sync + 'static) -> Self {
         QueryServer {
             core: self.core.with_cache_stats(stats),
-            ..self
-        }
-    }
-
-    /// Attach a shared I/O-scheduler counter source (e.g.
-    /// `move || scheduler.stats()`) so [`ServerStats::scheduler`] is
-    /// populated.
-    pub fn with_scheduler_stats(
-        self,
-        stats: impl Fn() -> SchedulerStats + Send + Sync + 'static,
-    ) -> Self {
-        QueryServer {
-            core: self.core.with_scheduler_stats(stats),
             ..self
         }
     }
@@ -889,38 +872,28 @@ enum StepOutcome {
     Fail(AirphantError),
 }
 
-fn empty_batch() -> BatchFetch {
-    BatchFetch {
-        parts: Vec::new(),
-        batch_latency: SimDuration::ZERO,
-        batch_wait: SimDuration::ZERO,
-        batch_download: SimDuration::ZERO,
+/// Attach the flight's trace to its finished result, when captured.
+fn with_trace(mut result: SearchResult, flight: &Flight) -> SearchResult {
+    if flight.opts.capture_trace {
+        result.trace = flight.trace.clone();
     }
+    result
 }
 
 /// Postings planning over the engine's segments; falls through to the
 /// document stage when every atom resolves without storage traffic.
 fn postings_step(segments: &[&crate::Searcher], flight: &mut Flight) -> StepOutcome {
-    let plan = plan_postings(segments, &flight.atoms);
-    if plan.requests.is_empty() {
-        match complete_postings(
-            &plan,
-            &flight.atoms,
-            &empty_batch(),
-            None,
-            &mut flight.trace,
-        ) {
-            Ok(mut maps) => {
-                // `plan_postings` sizes per-plan maps; `plan_documents`
-                // expects one map per segment even with zero requests.
-                maps.resize_with(segments.len(), HashMap::new);
+    let mut requests = Vec::new();
+    let plan = plan_postings(segments, &flight.atoms, &mut requests);
+    if requests.is_empty() {
+        match complete_postings(&plan, &flight.atoms, &[], None, &mut flight.trace) {
+            Ok(maps) => {
                 flight.maps = Some(maps);
                 documents_step(segments, flight)
             }
             Err(e) => StepOutcome::Fail(e),
         }
     } else {
-        let requests = plan.requests.clone();
         match segments[0].store_dyn().get_ranges(&requests) {
             Ok(batch) => {
                 flight.postings_plan = Some(plan);
@@ -942,19 +915,20 @@ fn documents_step(segments: &[&crate::Searcher], flight: &mut Flight) -> StepOut
         .maps
         .take()
         .expect("postings resolved before the document stage");
-    let plan = plan_documents(segments, &flight.query, &flight.opts, &maps);
-    if plan.requests.is_empty() {
+    let mut requests = Vec::new();
+    let plan = plan_documents(segments, &flight.query, &flight.opts, &maps, &mut requests);
+    if requests.is_empty() {
         let result = complete_documents(
             segments,
             &flight.query,
             &flight.opts,
             &plan,
-            None,
-            flight.trace.clone(),
+            &[],
+            &[],
+            &mut flight.trace,
         );
-        StepOutcome::Done(result)
+        StepOutcome::Done(with_trace(result, flight))
     } else {
-        let requests = plan.requests.clone();
         match segments[0].store_dyn().get_ranges(&requests) {
             Ok(batch) => {
                 flight.doc_plan = Some(plan);
@@ -997,7 +971,6 @@ pub struct AsyncQueryServer {
     threads: Vec<JoinHandle<()>>,
     started: Instant,
     cache_stats: Option<Box<dyn Fn() -> (u64, u64) + Send + Sync>>,
-    scheduler_stats: Option<Box<dyn Fn() -> SchedulerStats + Send + Sync>>,
 }
 
 impl AsyncQueryServer {
@@ -1059,7 +1032,6 @@ impl AsyncQueryServer {
             threads,
             started: Instant::now(),
             cache_stats: None,
-            scheduler_stats: None,
         }
     }
 
@@ -1096,16 +1068,6 @@ impl AsyncQueryServer {
         stats: impl Fn() -> (u64, u64) + Send + Sync + 'static,
     ) -> Self {
         self.cache_stats = Some(Box::new(stats));
-        self
-    }
-
-    /// Attach a shared I/O-scheduler counter source (see
-    /// [`QueryServer::with_scheduler_stats`]).
-    pub fn with_scheduler_stats(
-        mut self,
-        stats: impl Fn() -> SchedulerStats + Send + Sync + 'static,
-    ) -> Self {
-        self.scheduler_stats = Some(Box::new(stats));
         self
     }
 
@@ -1297,7 +1259,6 @@ impl AsyncQueryServer {
             latency_p95_ms: percentile(&latencies, 0.95),
             latency_p99_ms: percentile(&latencies, 0.99),
             cache: self.cache_stats.as_ref().map(|f| f()),
-            scheduler: self.scheduler_stats.as_ref().map(|f| f()),
             peak_in_flight: core.peak_in_flight,
             hedges: core.hedges,
             hedge_wins: core.hedge_wins,
@@ -1524,7 +1485,7 @@ fn merge_batch(
             match complete_postings(
                 &plan,
                 &flight.atoms,
-                &pending.batch,
+                &pending.batch.parts,
                 pending.kept.as_deref(),
                 &mut flight.trace,
             ) {
@@ -1544,11 +1505,13 @@ fn merge_batch(
                     &flight.query,
                     &flight.opts,
                     &plan,
-                    Some(&pending.batch),
-                    flight.trace.clone(),
+                    &pending.requests,
+                    &pending.batch.parts,
+                    &mut flight.trace,
                 ));
             });
-            StepOutcome::Done(result.expect("with_segments invokes its callback"))
+            let result = result.expect("with_segments invokes its callback");
+            StepOutcome::Done(with_trace(result, flight))
         }
         other => unreachable!("no batches are dispatched for {other:?}"),
     }
@@ -1659,10 +1622,13 @@ fn straggler_cut(
     flight: &Flight,
     batch: &BatchFetch,
 ) -> (Option<Box<KeptParts>>, SimDuration, SimDuration) {
-    let kept = flight
-        .postings_plan
-        .as_ref()
-        .and_then(|plan| keep_parts(plan, batch, flight.opts.straggler));
+    let kept = flight.postings_plan.as_ref().and_then(|plan| {
+        keep_parts(
+            std::slice::from_ref(plan),
+            &batch.parts,
+            flight.opts.straggler,
+        )
+    });
     let (wait, download) = match &kept {
         Some(k) => (k.wait, k.download),
         None => (batch.batch_wait, batch.batch_download),
@@ -2088,13 +2054,11 @@ mod tests {
         let searcher =
             Arc::new(Searcher::open(cache.clone() as Arc<dyn ObjectStore>, "idx").unwrap());
         let cache_for_stats = cache.clone();
-        let scheduler_for_stats = scheduler.clone();
         let server = QueryServer::start(
             searcher,
             ServerConfig::new().with_workers(4).with_queue_capacity(32),
         )
-        .with_cache_stats(move || cache_for_stats.hit_stats())
-        .with_scheduler_stats(move || scheduler_for_stats.stats());
+        .with_cache_stats(move || cache_for_stats.hit_stats());
         let tickets: Vec<Ticket> = (0..40)
             .map(|i| {
                 server
@@ -2114,11 +2078,9 @@ mod tests {
         assert!(stats.wait_p50_ms <= stats.wait_p99_ms);
         assert!(stats.cache.is_some());
         assert!(stats.cache_hit_rate().is_some());
-        // The attached scheduler's counters are plumbed through, and the
-        // cache's miss batches did flow through it.
-        let sched = stats.scheduler.expect("scheduler stats attached");
+        // The cache's miss batches did flow through the scheduler.
         assert!(
-            sched.backend_batches > 0,
+            scheduler.stats().backend_batches > 0,
             "misses flow through the scheduler"
         );
         // The closed-loop model: 4 workers serve 40 queries at least ~4x

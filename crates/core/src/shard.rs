@@ -1,5 +1,5 @@
 //! Horizontal sharding: hash-partitioned corpora across N independent
-//! segmented indexes, served with scatter-gather query execution.
+//! segmented indexes, queried with one storage batch per phase.
 //!
 //! A single (even segmented) index funnels every query through one
 //! sketch and one postings-fetch path; the scale-out axis is
@@ -33,16 +33,17 @@
 //! ([`Corpus::with_doc_filter`]) — the same filtered-rebuild path
 //! resharding migrates documents through.
 //!
-//! **Scatter-gather.** [`ShardedSearcher`] implements
-//! [`SearchEngine`](crate::SearchEngine): a query fans out to all shards in parallel (each
-//! shard runs the ordinary single-batch planner over its own segments),
-//! then the per-shard results merge deterministically — hits in stable
-//! doc-id order (`(blob, offset)`), counters summed, and the trace
-//! combined with [`QueryTrace::merge_parallel`] so round trips report
-//! the **max over shards** (the fan-out overlaps) rather than the sum.
-//! Sharding therefore preserves the paper's constant-round-trip
-//! property: an N-shard lookup is still one dependent postings round
-//! trip followed by one document round trip.
+//! **One batch per phase across shards.** [`ShardedSearcher`] implements
+//! [`SearchEngine`](crate::SearchEngine) by handing the planner every
+//! shard's segments as one group per shard. Each shard expands
+//! Prefix/Fuzzy atoms against its own vocabularies and evaluates and
+//! verifies its own candidates, but the requests of all shards go out
+//! together: an N-shard query sends exactly one postings `get_ranges`
+//! and at most one documents `get_ranges`, the paper's constant-round-
+//! trip lookup (§III-C). The per-shard results then merge
+//! deterministically: each shard's hits truncated to `top_k`, merged in
+//! stable doc-id order (`(blob, offset)`), truncated again, with
+//! counters summed.
 //!
 //! **Refresh.** A [`ShardedSearcher`] is an immutable snapshot of every
 //! shard's manifest generation. After appends or compactions, reopen
@@ -51,7 +52,7 @@
 //! shard set swaps atomically behind one `Arc`, so no query ever sees
 //! a mix of old and new shard generations. A [`ShardedSearcher`] is not
 //! a [`StagedEngine`](crate::StagedEngine): the serving core runs its
-//! scatter-gather `execute` as one stretch per query.
+//! `execute` as one stretch per query.
 
 use crate::builder::BuildReport;
 use crate::compact::{CompactionPolicy, CompactionReport, Compactor};
@@ -59,6 +60,7 @@ use crate::config::AirphantConfig;
 use crate::error::AirphantError;
 use crate::query::{Query, QueryOptions};
 use crate::result::SearchResult;
+use crate::searcher::Searcher;
 use crate::segments::{SegmentManager, SegmentedSearcher};
 use crate::Result;
 use airphant_corpus::{
@@ -293,7 +295,7 @@ pub struct ShardAppend {
 
 /// Manages a sharded index layout: creates the per-shard segmented
 /// indexes, routes appends, runs per-shard compaction, and opens
-/// scatter-gather searchers.
+/// sharded searchers.
 pub struct ShardRouter {
     store: Arc<dyn ObjectStore>,
     base: String,
@@ -560,7 +562,7 @@ impl ShardRouter {
             .collect()
     }
 
-    /// Open a scatter-gather searcher over every shard's live segment
+    /// Open a sharded searcher over every shard's live segment
     /// set (whitespace tokenizer).
     pub fn open_searcher(&self) -> Result<ShardedSearcher> {
         self.open_searcher_with_tokenizer(Arc::new(WhitespaceTokenizer))
@@ -721,7 +723,7 @@ impl ShardRouter {
     }
 }
 
-/// A scatter-gather query server over N shard snapshots — a consistent
+/// A query server over N shard snapshots — a consistent
 /// view of every shard's manifest generation at open time.
 pub struct ShardedSearcher {
     shards: Vec<SegmentedSearcher>,
@@ -751,46 +753,32 @@ impl ShardedSearcher {
         self.shards.iter().map(|s| s.generation()).collect()
     }
 
-    /// Scatter `op` across the shards in parallel and gather the
-    /// per-shard outcomes in shard order. Shard-thread panics resume on
-    /// the caller (where the serving layer's catch_unwind contains
-    /// them).
-    fn scatter<T: Send>(
-        &self,
-        op: impl Fn(&SegmentedSearcher) -> Result<T> + Sync,
-    ) -> Vec<Result<T>> {
-        if self.shards.len() <= 1 {
-            return self.shards.iter().map(&op).collect();
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter()
-                .map(|shard| scope.spawn(|| op(shard)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
+    /// Execute `f` with every shard's segments, one group per shard, in
+    /// shard order — the shape the planner takes.
+    fn with_groups<T>(&self, f: impl FnOnce(&[&[&Searcher]]) -> T) -> T {
+        let segments: Vec<Vec<&Searcher>> = self
+            .shards
+            .iter()
+            .map(|shard| shard.segments().iter().collect())
+            .collect();
+        let groups: Vec<&[&Searcher]> = segments.iter().map(Vec::as_slice).collect();
+        f(&groups)
     }
 
-    /// Execute a [`Query`] across every shard in parallel and merge:
-    /// hits in stable doc-id order (`(blob, offset)` — routing makes
-    /// shards disjoint, so no dedup is needed), candidate/false-positive
-    /// counters summed, and the trace merged with
-    /// [`QueryTrace::merge_parallel`] so the reported round trips are
-    /// the max over shards (the fan-out overlaps), not the sum.
+    /// Execute a [`Query`] across every shard through the planner: one
+    /// postings batch and at most one documents batch cover all shards.
+    /// Each shard's hits are truncated to `top_k` and then merged in
+    /// stable doc-id order (`(blob, offset)` — routing makes shards
+    /// disjoint, so no dedup is needed); candidate/false-positive
+    /// counters are summed.
     pub fn execute(&self, query: &Query, opts: &QueryOptions) -> Result<SearchResult> {
-        let gathered = self.scatter(|shard| shard.execute(query, opts));
+        let (results, trace) =
+            self.with_groups(|groups| crate::plan::execute_over(groups, query, opts))?;
         let mut hits = Vec::new();
-        let mut traces = Vec::with_capacity(gathered.len());
         let mut candidates = 0usize;
         let mut dropped = 0usize;
-        for outcome in gathered {
-            let result = outcome?;
+        for result in results {
             hits.extend(result.hits);
-            traces.push(result.trace);
             candidates += result.candidates;
             dropped += result.false_positives_removed;
         }
@@ -805,28 +793,16 @@ impl ShardedSearcher {
         }
         Ok(SearchResult {
             hits,
-            trace: if opts.capture_trace {
-                QueryTrace::merge_parallel(&traces)
-            } else {
-                QueryTrace::new()
-            },
+            trace,
             candidates,
             false_positives_removed: dropped,
         })
     }
 
     /// Index-lookup phase only: every shard's candidate postings,
-    /// unioned, with the merged (max-over-shards) lookup trace.
+    /// unioned, fetched in one batch across the shards.
     pub fn execute_lookup(&self, query: &Query) -> Result<(PostingsList, QueryTrace)> {
-        let gathered = self.scatter(|shard| shard.execute_lookup(query));
-        let mut postings = PostingsList::new();
-        let mut traces = Vec::with_capacity(gathered.len());
-        for outcome in gathered {
-            let (list, trace) = outcome?;
-            postings.union_with(&list);
-            traces.push(trace);
-        }
-        Ok((postings, QueryTrace::merge_parallel(&traces)))
+        self.with_groups(|groups| crate::plan::lookup_over(groups, query))
     }
 
     /// Single-keyword search across all shards; thin shim over
@@ -1136,7 +1112,7 @@ mod tests {
         assert_eq!(
             r.trace.round_trips(),
             2,
-            "lookup + documents, max over shards (not 2 x 4)"
+            "one lookup batch + one document batch across all shards (not 2 x 4)"
         );
     }
 

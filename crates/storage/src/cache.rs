@@ -19,6 +19,7 @@ use crate::object_store::{BatchFetch, Fetched, ObjectStore, RangeClass, RangeReq
 use crate::Result;
 use bytes::Bytes;
 use parking_lot::Mutex;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -370,6 +371,11 @@ impl<S: ObjectStore> CachedStore<S> {
     /// leader, everyone else follows its flight.
     fn claim(&self, key: &RangeKey) -> Claim<'_, S> {
         let mut map = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
+        self.claim_in(&mut map, key)
+    }
+
+    /// [`CachedStore::claim`] under an already-held in-flight lock.
+    fn claim_in(&self, map: &mut HashMap<RangeKey, Arc<Flight>>, key: &RangeKey) -> Claim<'_, S> {
         match map.get(key) {
             Some(flight) => Claim::Follower(flight.clone()),
             None => {
@@ -394,37 +400,48 @@ impl<S: ObjectStore> CachedStore<S> {
         flight.finish();
     }
 
-    /// Route one missing request of a batch: a cache hit fills
-    /// `parts[i]`; a claimed fetch is queued into the round's `leading`
-    /// set (its guard held so followers can wait on the flight); a range
-    /// another thread is already fetching joins `following`. The
-    /// probe→claim→re-probe dance is the same as `get_range`'s: a prior
-    /// leader may admit and release between our probe and our claim.
-    fn route_request<'a>(
+    /// Route one round of a batch's requests (`indices` into `requests`,
+    /// no key twice): a cache hit fills `parts[i]`; a claimed fetch is
+    /// queued into the round's `leading` set (its guard held so followers
+    /// can wait on the flight); a range another thread is already
+    /// fetching joins `following`. The whole round is probed and claimed
+    /// under ONE in-flight lock, so two threads sending the same batch
+    /// never split its leadership (each would then pay a backend batch
+    /// for half of it): one leads every range, the other follows. Holding
+    /// that lock also closes the probe→claim window `get_range` re-probes
+    /// for: a prior leader admits before it releases, and it cannot
+    /// release while we hold the lock, so a miss we then claim is truly
+    /// not cached. (Lock order: in-flight, then LRU; nothing takes them
+    /// the other way round.)
+    fn route_round<'a>(
         &'a self,
-        i: usize,
-        r: &RangeRequest,
-        key: &RangeKey,
+        requests: &[RangeRequest],
+        indices: impl IntoIterator<Item = usize>,
         parts: &mut [Option<Fetched>],
-        round: &mut BatchRound<'a, S>,
-    ) {
-        if let Some(hit) = self.probe(key, r.class) {
-            parts[i] = Some(hit);
-            return;
-        }
-        match self.claim(key) {
-            Claim::Leader(guard) => {
-                if let Some(hit) = self.probe(key, r.class) {
-                    drop(guard);
-                    parts[i] = Some(hit);
-                    return;
-                }
-                self.count_miss(r.class);
-                round.leading.push((i, r.clone(), self.epoch_of(&r.name)));
-                round.claims.push(guard);
+    ) -> BatchRound<'a, S> {
+        let mut round = BatchRound::new();
+        let mut map = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
+        for i in indices {
+            let r = &requests[i];
+            let key = RangeKey {
+                name: r.name.clone(),
+                offset: r.offset,
+                len: r.len,
+            };
+            if let Some(hit) = self.probe(&key, r.class) {
+                parts[i] = Some(hit);
+                continue;
             }
-            Claim::Follower(flight) => round.following.push((i, flight)),
+            match self.claim_in(&mut map, &key) {
+                Claim::Leader(guard) => {
+                    self.count_miss(r.class);
+                    round.leading.push((i, r.clone(), self.epoch_of(&r.name)));
+                    round.claims.push(guard);
+                }
+                Claim::Follower(flight) => round.following.push((i, flight)),
+            }
         }
+        round
     }
 
     /// Issue one round's led ranges as a single concurrent batch, admit
@@ -567,22 +584,18 @@ impl<S: ObjectStore> crate::StoreLayer for CachedStore<S> {
         // duplicate back to the backend for bytes this very batch already
         // holds.
         let mut parts: Vec<Option<Fetched>> = vec![None; requests.len()];
-        let mut first_occurrence: HashMap<RangeKey, usize> = HashMap::new();
+        let mut first_occurrence: HashMap<(&str, u64, u64), usize> = HashMap::new();
         let mut duplicates: Vec<(usize, usize)> = Vec::new();
-        let mut round = BatchRound::new();
-        for (i, r) in requests.iter().enumerate() {
-            let key = RangeKey {
-                name: r.name.clone(),
-                offset: r.offset,
-                len: r.len,
-            };
-            if let Some(&j) = first_occurrence.get(&key) {
-                duplicates.push((i, j));
-                continue;
+        let firsts = requests.iter().enumerate().filter_map(|(i, r)| {
+            match first_occurrence.entry((r.name.as_str(), r.offset, r.len)) {
+                Entry::Occupied(j) => {
+                    duplicates.push((i, *j.get()));
+                    None
+                }
+                Entry::Vacant(slot) => Some(*slot.insert(i)),
             }
-            self.route_request(i, r, &key, &mut parts, &mut round);
-            first_occurrence.insert(key, i);
-        }
+        });
+        let round = self.route_round(requests, firsts, &mut parts);
 
         let (mut wait, mut download) = (SimDuration::ZERO, SimDuration::ZERO);
         self.lead_batch(round.leading, &mut parts, &mut wait, &mut download)?;
@@ -592,7 +605,7 @@ impl<S: ObjectStore> crate::StoreLayer for CachedStore<S> {
         drop(round.claims);
 
         // Ranges another thread was fetching: wait for every flight, then
-        // re-probe (via `route_request`, like round one). Whatever the
+        // re-probe (via `route_round`, like round one). Whatever the
         // leaders failed to admit (error, or bytes larger than the cache)
         // is refetched as ONE concurrent fallback batch per round — never
         // a range at a time, which would degrade a K-range batch into K
@@ -602,17 +615,10 @@ impl<S: ObjectStore> crate::StoreLayer for CachedStore<S> {
         // transfer shares the link.
         let mut following = round.following;
         while !following.is_empty() {
-            let mut round = BatchRound::new();
-            for (i, flight) in following {
+            for (_, flight) in &following {
                 flight.wait();
-                let r = &requests[i];
-                let key = RangeKey {
-                    name: r.name.clone(),
-                    offset: r.offset,
-                    len: r.len,
-                };
-                self.route_request(i, r, &key, &mut parts, &mut round);
             }
+            let round = self.route_round(requests, following.iter().map(|(i, _)| *i), &mut parts);
             self.lead_batch(round.leading, &mut parts, &mut wait, &mut download)?;
             drop(round.claims);
             following = round.following;

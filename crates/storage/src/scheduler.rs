@@ -1,50 +1,41 @@
-//! Cross-query I/O scheduler: range coalescing and batch fusion.
+//! I/O scheduler: range coalescing within each storage batch.
 //!
 //! The paper's batch model (§II-C, `sim.rs`) prices a lookup by its round
 //! trips: a batch of concurrent requests costs `max(first_byte_i)` of wait
 //! plus a shared-bandwidth download, so *fewer, larger, concurrent* GETs
-//! win. The planner already dedups identical ranges within one query;
-//! [`CoalescingStore`] pushes the same idea below every engine:
+//! win. The planner already sends one postings batch and at most one
+//! documents batch per query — across every segment *and every shard* —
+//! and dedups identical ranges within it. [`CoalescingStore`] pushes the
+//! remaining merge below every engine: within one
+//! [`ObjectStore::get_ranges`] batch, requests to the same blob are
+//! sorted and merged whenever they overlap or sit within
+//! [`SchedulerConfig::coalesce_gap`] bytes of each other. The merged
+//! (fewer, larger) ranges are issued as one backend batch; each caller's
+//! exact bytes are sliced back out of the merged payloads, byte-for-byte
+//! identical to the uncoalesced fetch.
 //!
-//! 1. **Range coalescing** — within one [`ObjectStore::get_ranges`] batch,
-//!    requests to the same blob are sorted and merged whenever they
-//!    overlap or sit within [`SchedulerConfig::coalesce_gap`] bytes of
-//!    each other. The merged (fewer, larger) ranges are issued; each
-//!    caller's exact bytes are sliced back out of the merged payloads,
-//!    byte-for-byte identical to the uncoalesced fetch.
-//! 2. **Cross-query batch fusion** — concurrent `get_ranges` callers that
-//!    arrive within [`SchedulerConfig::batch_window`] (or before the
-//!    accumulated batch reaches [`SchedulerConfig::max_batch_requests`])
-//!    are fused into **one** backend batch by a submission queue with
-//!    leader election: the first caller opens the batch and waits out the
-//!    window, later callers append their requests and block, the leader
-//!    issues the fused (coalesced) batch and hands every caller its
-//!    slices. W server workers hitting the postings phase together pay
-//!    one shared round trip instead of W.
+//! The store holds no state between batches: it never holds a batch open
+//! for, or fuses it with, another caller's batch. Fusion comes from the
+//! plan instead (ADR 005), so it does not depend on thread timing.
 //!
 //! ## Simulated-clock semantics
 //!
-//! Each fused caller is charged the wait of the merged streams *its own
-//! ranges* landed in (`max(first_byte)` over those streams — they are all
-//! in flight concurrently, and streams it does not consume from do not
-//! block it) and the byte-proportional share of the fused download its
-//! slices account for. This preserves the per-query latency scale that
-//! `ServerStats`/`qps_sim` replay on the virtual clock: fusion removes
-//! round trips from the *backend* without inflating any single query's
-//! simulated latency by other queries' bytes.
+//! A coalesced batch is charged exactly what the backend charged for the
+//! merged batch (its wait and download, spikes included). Each part
+//! keeps its merged stream's first byte and a byte-proportional share of
+//! that stream's whole transfer time, so padding bytes are charged, not
+//! vanished.
 //!
 //! The scheduler sits **below** [`crate::CachedStore`] in the serving
 //! stack (`cloud → CoalescingStore → CachedStore → engine`): hits never
 //! reach it, and the cache's single-flighted miss batches are exactly the
-//! traffic worth coalescing and fusing. See `docs/adr/005-io-scheduler.md`
-//! for the full stacking argument.
+//! traffic worth coalescing. See `docs/adr/005-io-scheduler.md` for the
+//! full stacking argument.
 
 use crate::latency::{LatencySample, SimDuration};
 use crate::object_store::{BatchFetch, Fetched, ObjectStore, RangeRequest};
-use crate::{Result, StorageError};
+use crate::Result;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`CoalescingStore`].
 #[derive(Debug, Clone)]
@@ -54,28 +45,16 @@ pub struct SchedulerConfig {
     /// The padding bytes fetched to bridge a gap trade download for a
     /// whole round trip — cheap under the paper's affine latency model.
     pub coalesce_gap: u64,
-    /// A pending fused batch closes as soon as it holds this many
-    /// requests, without waiting out the window.
-    pub max_batch_requests: usize,
-    /// How long (wall clock) the first caller of a fused batch waits for
-    /// more callers before issuing. [`Duration::ZERO`] disables fusion
-    /// entirely: every caller issues its own (still coalesced) batch.
-    pub batch_window: Duration,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
-        SchedulerConfig {
-            coalesce_gap: 4096,
-            max_batch_requests: 64,
-            batch_window: Duration::from_micros(200),
-        }
+        SchedulerConfig { coalesce_gap: 4096 }
     }
 }
 
 impl SchedulerConfig {
-    /// The default configuration (4 KiB gap, 64-request batches, 200 µs
-    /// fusion window).
+    /// The default configuration (4 KiB merge gap).
     pub fn new() -> Self {
         Self::default()
     }
@@ -85,24 +64,6 @@ impl SchedulerConfig {
         self.coalesce_gap = gap;
         self
     }
-
-    /// Set the fused-batch request cap (clamped to at least 1).
-    pub fn with_max_batch_requests(mut self, max: usize) -> Self {
-        self.max_batch_requests = max.max(1);
-        self
-    }
-
-    /// Set the fusion window ([`Duration::ZERO`] disables fusion).
-    pub fn with_batch_window(mut self, window: Duration) -> Self {
-        self.batch_window = window;
-        self
-    }
-
-    /// Coalescing only: merge ranges within each caller's batch but never
-    /// hold a batch open for other callers.
-    pub fn coalesce_only(self) -> Self {
-        self.with_batch_window(Duration::ZERO)
-    }
 }
 
 /// Aggregate counters of a [`CoalescingStore`].
@@ -110,7 +71,9 @@ impl SchedulerConfig {
 pub struct SchedulerStats {
     /// Requests eliminated by merging (submitted minus issued).
     pub merged_ranges: u64,
-    /// Backend batches that served two or more fused callers.
+    /// Backend batches shared by two or more callers. Always 0: the store
+    /// never fuses callers' batches (the planner already sends one batch
+    /// per phase); kept so existing reports keep their columns.
     pub fused_batches: u64,
     /// Bytes the backend did not have to send because overlapping ranges
     /// were fetched once (requested bytes minus their union).
@@ -125,65 +88,18 @@ pub struct SchedulerStats {
 #[derive(Debug, Default)]
 struct StatCells {
     merged_ranges: AtomicU64,
-    fused_batches: AtomicU64,
     bytes_saved: AtomicU64,
     bytes_padded: AtomicU64,
     backend_batches: AtomicU64,
 }
 
-/// One pending fused batch: callers append requests while it is open; the
-/// leader closes it, issues the fused fetch, and publishes per-caller
-/// results.
-struct BatchCell {
-    data: Mutex<BatchData>,
-    cv: Condvar,
-}
-
-struct BatchData {
-    requests: Vec<RangeRequest>,
-    /// Per caller: `(start, count)` span into `requests`.
-    spans: Vec<(usize, usize)>,
-    /// No further callers may join (the leader is about to issue).
-    closed: bool,
-    /// Per-caller outcomes, filled by the leader; parallel to `spans`.
-    results: Vec<Option<Result<BatchFetch>>>,
-    done: bool,
-}
-
-/// Unblocks followers if the leader unwinds before publishing results —
-/// the scheduler mirror of the cache's claim guard.
-struct LeaderGuard<'a> {
-    cell: &'a BatchCell,
-    armed: bool,
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        if !self.armed {
-            return;
-        }
-        let mut d = self.cell.data.lock().unwrap_or_else(|e| e.into_inner());
-        for slot in d.results.iter_mut() {
-            if slot.is_none() {
-                *slot = Some(Err(StorageError::Io(std::io::Error::other(
-                    "scheduler leader panicked before publishing the fused batch",
-                ))));
-            }
-        }
-        d.done = true;
-        self.cell.cv.notify_all();
-    }
-}
-
-/// An [`ObjectStore`] decorator that merges ranged reads into fewer,
-/// larger backend requests and fuses concurrent batches into one shared
-/// round trip. Pure pass-through for writes, listings, and CAS.
+/// An [`ObjectStore`] decorator that merges the ranged reads of each
+/// batch into fewer, larger backend requests. Pure pass-through for
+/// writes, listings, and CAS.
 pub struct CoalescingStore<S> {
     inner: S,
     config: SchedulerConfig,
     stats: StatCells,
-    /// The currently-open fused batch, if any.
-    open: Mutex<Option<Arc<BatchCell>>>,
 }
 
 impl<S: ObjectStore> CoalescingStore<S> {
@@ -198,7 +114,6 @@ impl<S: ObjectStore> CoalescingStore<S> {
             inner,
             config,
             stats: StatCells::default(),
-            open: Mutex::new(None),
         }
     }
 
@@ -216,236 +131,10 @@ impl<S: ObjectStore> CoalescingStore<S> {
     pub fn stats(&self) -> SchedulerStats {
         SchedulerStats {
             merged_ranges: self.stats.merged_ranges.load(Ordering::Relaxed),
-            fused_batches: self.stats.fused_batches.load(Ordering::Relaxed),
+            fused_batches: 0,
             bytes_saved: self.stats.bytes_saved.load(Ordering::Relaxed),
             bytes_padded: self.stats.bytes_padded.load(Ordering::Relaxed),
             backend_batches: self.stats.backend_batches.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Coalesce `requests`, issue the merged batch, and record stats.
-    fn fetch_merged(&self, requests: &[RangeRequest]) -> Result<MergedFetch> {
-        let (merged, assignment, union_len) = coalesce(requests, self.config.coalesce_gap);
-        let batch = self.inner.get_ranges(&merged)?;
-        let requested: u64 = requests.iter().map(|r| r.len).sum();
-        let fetched: u64 = merged.iter().map(|m| m.len).sum();
-        let mut requested_per_merged = vec![0u64; merged.len()];
-        for (i, r) in requests.iter().enumerate() {
-            requested_per_merged[assignment[i]] += r.len;
-        }
-        self.stats.backend_batches.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .merged_ranges
-            .fetch_add((requests.len() - merged.len()) as u64, Ordering::Relaxed);
-        // Overlap dedup (requested beyond the union was fetched once) and
-        // gap padding (fetched beyond the union) are separate ledgers: a
-        // padded merge spends download to save a round trip, and must not
-        // silently cancel real savings out of the report.
-        self.stats
-            .bytes_saved
-            .fetch_add(requested.saturating_sub(union_len), Ordering::Relaxed);
-        self.stats
-            .bytes_padded
-            .fetch_add(fetched.saturating_sub(union_len), Ordering::Relaxed);
-        Ok(MergedFetch {
-            merged,
-            assignment,
-            requested_per_merged,
-            batch,
-        })
-    }
-
-    /// The coalesce-only path: one caller, one (merged) backend batch.
-    fn coalesced_solo(&self, requests: &[RangeRequest]) -> Result<BatchFetch> {
-        let mf = self.fetch_merged(requests)?;
-        let parts: Vec<Fetched> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, r)| mf.slice(mf.assignment[i], r))
-            .collect();
-        Ok(BatchFetch {
-            parts,
-            batch_latency: mf.batch.batch_wait + mf.batch.batch_download,
-            batch_wait: mf.batch.batch_wait,
-            batch_download: mf.batch.batch_download,
-        })
-    }
-
-    /// Join the open fused batch (or open a new one as its leader).
-    /// Returns the cell, this caller's span index, and leadership.
-    fn join_or_open(&self, requests: &[RangeRequest]) -> (Arc<BatchCell>, usize, bool) {
-        let mut open = self.open.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(cell) = open.clone() {
-            let mut d = cell.data.lock().unwrap_or_else(|e| e.into_inner());
-            if !d.closed {
-                let start = d.requests.len();
-                d.requests.extend_from_slice(requests);
-                d.spans.push((start, requests.len()));
-                d.results.push(None);
-                let idx = d.spans.len() - 1;
-                if d.requests.len() >= self.config.max_batch_requests {
-                    // Full: close now and wake the leader early.
-                    d.closed = true;
-                    cell.cv.notify_all();
-                    drop(d);
-                    *open = None;
-                    return (cell, idx, false);
-                }
-                drop(d);
-                return (cell, idx, false);
-            }
-            // Closed but not yet detached by its leader: start fresh.
-        }
-        let closed = requests.len() >= self.config.max_batch_requests;
-        let cell = Arc::new(BatchCell {
-            data: Mutex::new(BatchData {
-                requests: requests.to_vec(),
-                spans: vec![(0, requests.len())],
-                closed,
-                results: vec![None],
-                done: false,
-            }),
-            cv: Condvar::new(),
-        });
-        // A batch born full can never accept a joiner — publishing it
-        // would only make later callers lock a dead cell before opening
-        // their own.
-        if !closed {
-            *open = Some(cell.clone());
-        }
-        (cell, 0, true)
-    }
-
-    /// The fusion path: leader waits out the window, issues the fused
-    /// batch, and distributes per-caller slices; followers block for
-    /// their share.
-    fn fused_get_ranges(&self, requests: &[RangeRequest]) -> Result<BatchFetch> {
-        let (cell, my_idx, leader) = self.join_or_open(requests);
-        if !leader {
-            let mut d = cell.data.lock().unwrap_or_else(|e| e.into_inner());
-            while !d.done {
-                d = cell.cv.wait(d).unwrap_or_else(|e| e.into_inner());
-            }
-            return d.results[my_idx].take().expect("one result per caller");
-        }
-
-        // Leader: hold the batch open for the window (or until full).
-        let deadline = Instant::now() + self.config.batch_window;
-        {
-            let mut d = cell.data.lock().unwrap_or_else(|e| e.into_inner());
-            while !d.closed {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (g, _) = cell
-                    .cv
-                    .wait_timeout(d, deadline - now)
-                    .unwrap_or_else(|e| e.into_inner());
-                d = g;
-            }
-        }
-        // Close and detach under the queue lock (queue → cell order, same
-        // as join_or_open) so late arrivals open a fresh batch.
-        {
-            let mut open = self.open.lock().unwrap_or_else(|e| e.into_inner());
-            let mut d = cell.data.lock().unwrap_or_else(|e| e.into_inner());
-            d.closed = true;
-            if let Some(cur) = open.as_ref() {
-                if Arc::ptr_eq(cur, &cell) {
-                    *open = None;
-                }
-            }
-        }
-        let (fused_requests, spans) = {
-            let mut d = cell.data.lock().unwrap_or_else(|e| e.into_inner());
-            (std::mem::take(&mut d.requests), d.spans.clone())
-        };
-        if spans.len() > 1 {
-            self.stats.fused_batches.fetch_add(1, Ordering::Relaxed);
-        }
-
-        // From here on followers are waiting on us: the guard publishes
-        // error results if the backend (or slicing) panics.
-        let mut guard = LeaderGuard {
-            cell: &cell,
-            armed: true,
-        };
-        let outcome = self.fetch_merged(&fused_requests);
-        let mut results: Vec<Option<Result<BatchFetch>>> = match &outcome {
-            Ok(mf) => spans
-                .iter()
-                .map(|&(start, count)| Some(Ok(mf.caller_batch(&fused_requests, start, count))))
-                .collect(),
-            Err(e) => spans.iter().map(|_| Some(Err(clone_error(e)))).collect(),
-        };
-        let mine = results[my_idx].take().expect("leader result");
-        {
-            let mut d = cell.data.lock().unwrap_or_else(|e| e.into_inner());
-            d.results = results;
-            d.done = true;
-            cell.cv.notify_all();
-        }
-        guard.armed = false;
-        mine
-    }
-}
-
-/// A coalesced backend fetch plus the bookkeeping to slice callers' exact
-/// ranges back out of the merged payloads.
-struct MergedFetch {
-    merged: Vec<RangeRequest>,
-    /// Original request index → merged request index.
-    assignment: Vec<usize>,
-    /// Sum of the original request lengths folded into each merged range
-    /// — the denominator that splits a merged stream's whole transfer
-    /// time (gap padding included) across the requests that caused it.
-    requested_per_merged: Vec<u64>,
-    batch: BatchFetch,
-}
-
-impl MergedFetch {
-    /// Slice request `r`'s exact bytes out of merged part `m`, attributing
-    /// a byte-proportional share of the merged stream's transfer time
-    /// (the full stream, so padding bytes are charged, not vanished).
-    fn slice(&self, m: usize, r: &RangeRequest) -> Fetched {
-        let merged = &self.merged[m];
-        let part = &self.batch.parts[m];
-        let start = (r.offset - merged.offset) as usize;
-        let bytes = part.bytes.slice(start..start + r.len as usize);
-        let share = if self.requested_per_merged[m] > 0 {
-            r.len as f64 / self.requested_per_merged[m] as f64
-        } else {
-            0.0
-        };
-        Fetched {
-            bytes,
-            latency: LatencySample {
-                first_byte: part.latency.first_byte,
-                transfer: part.latency.transfer * share,
-            },
-        }
-    }
-
-    /// Assemble one fused caller's [`BatchFetch`]: its sliced parts, the
-    /// max first-byte over the merged streams *it* consumes from, and its
-    /// byte-proportional download share (see the module docs).
-    fn caller_batch(&self, fused: &[RangeRequest], start: usize, count: usize) -> BatchFetch {
-        let mut parts = Vec::with_capacity(count);
-        let mut wait = SimDuration::ZERO;
-        let mut download = SimDuration::ZERO;
-        for (i, r) in fused.iter().enumerate().skip(start).take(count) {
-            let m = self.assignment[i];
-            let part = self.slice(m, r);
-            wait = wait.max(self.batch.parts[m].latency.first_byte);
-            download += part.latency.transfer;
-            parts.push(part);
-        }
-        BatchFetch {
-            parts,
-            batch_latency: wait + download,
-            batch_wait: wait,
-            batch_download: download,
         }
     }
 }
@@ -496,36 +185,6 @@ fn coalesce(requests: &[RangeRequest], gap: u64) -> (Vec<RangeRequest>, Vec<usiz
     (merged, assignment, union_len)
 }
 
-/// Structural clone for fanning one backend error out to every fused
-/// caller ([`std::io::Error`] is not `Clone`; its message is preserved).
-fn clone_error(e: &StorageError) -> StorageError {
-    match e {
-        StorageError::BlobNotFound { name } => StorageError::BlobNotFound { name: name.clone() },
-        StorageError::RangeOutOfBounds {
-            name,
-            offset,
-            len,
-            blob_size,
-        } => StorageError::RangeOutOfBounds {
-            name: name.clone(),
-            offset: *offset,
-            len: *len,
-            blob_size: *blob_size,
-        },
-        StorageError::Timeout { name } => StorageError::Timeout { name: name.clone() },
-        StorageError::VersionMismatch {
-            name,
-            expected,
-            actual,
-        } => StorageError::VersionMismatch {
-            name: name.clone(),
-            expected: *expected,
-            actual: *actual,
-        },
-        StorageError::Io(err) => StorageError::Io(std::io::Error::new(err.kind(), err.to_string())),
-    }
-}
-
 impl<S: ObjectStore> crate::StoreLayer for CoalescingStore<S> {
     type Inner = S;
 
@@ -533,10 +192,8 @@ impl<S: ObjectStore> crate::StoreLayer for CoalescingStore<S> {
         &self.inner
     }
 
-    /// Batches are coalesced (and fused when the window is open). Single
-    /// ranges pass straight through: there is nothing to merge, and
-    /// holding a lone read hostage to the fusion window would tax every
-    /// header fetch for no round-trip saving.
+    /// Coalesce `requests`, issue the merged ranges as one backend batch,
+    /// record the ledgers, and slice every request's exact bytes back out.
     fn get_ranges(&self, requests: &[RangeRequest]) -> Result<BatchFetch> {
         if requests.is_empty() {
             return Ok(BatchFetch {
@@ -546,11 +203,60 @@ impl<S: ObjectStore> crate::StoreLayer for CoalescingStore<S> {
                 batch_download: SimDuration::ZERO,
             });
         }
-        if self.config.batch_window.is_zero() {
-            self.coalesced_solo(requests)
-        } else {
-            self.fused_get_ranges(requests)
+        let (merged, assignment, union_len) = coalesce(requests, self.config.coalesce_gap);
+        let batch = self.inner.get_ranges(&merged)?;
+        let requested: u64 = requests.iter().map(|r| r.len).sum();
+        let fetched: u64 = merged.iter().map(|m| m.len).sum();
+        // Sum of the original request lengths folded into each merged
+        // range — the denominator that splits a merged stream's whole
+        // transfer time (gap padding included) across its requests.
+        let mut requested_per_merged = vec![0u64; merged.len()];
+        for (r, &m) in requests.iter().zip(&assignment) {
+            requested_per_merged[m] += r.len;
         }
+        self.stats.backend_batches.fetch_add(1, Ordering::Relaxed);
+        self.stats
+            .merged_ranges
+            .fetch_add((requests.len() - merged.len()) as u64, Ordering::Relaxed);
+        // Overlap dedup (requested beyond the union was fetched once) and
+        // gap padding (fetched beyond the union) are separate ledgers: a
+        // padded merge spends download to save a round trip, and must not
+        // silently cancel real savings out of the report.
+        self.stats
+            .bytes_saved
+            .fetch_add(requested.saturating_sub(union_len), Ordering::Relaxed);
+        self.stats
+            .bytes_padded
+            .fetch_add(fetched.saturating_sub(union_len), Ordering::Relaxed);
+        // Each request's exact bytes, charged its merged stream's first
+        // byte and a byte-proportional share of the stream's whole
+        // transfer (padding bytes are charged, not vanished).
+        let parts = requests
+            .iter()
+            .zip(&assignment)
+            .map(|(r, &m)| {
+                let part = &batch.parts[m];
+                let start = (r.offset - merged[m].offset) as usize;
+                let share = if requested_per_merged[m] > 0 {
+                    r.len as f64 / requested_per_merged[m] as f64
+                } else {
+                    0.0
+                };
+                Fetched {
+                    bytes: part.bytes.slice(start..start + r.len as usize),
+                    latency: LatencySample {
+                        first_byte: part.latency.first_byte,
+                        transfer: part.latency.transfer * share,
+                    },
+                }
+            })
+            .collect();
+        Ok(BatchFetch {
+            parts,
+            batch_latency: batch.batch_wait + batch.batch_download,
+            batch_wait: batch.batch_wait,
+            batch_download: batch.batch_download,
+        })
     }
 }
 
@@ -619,7 +325,7 @@ mod tests {
     fn sliced_parts_are_byte_identical() {
         let store = CoalescingStore::with_config(
             blob_store(),
-            SchedulerConfig::new().coalesce_only().with_coalesce_gap(64),
+            SchedulerConfig::new().with_coalesce_gap(64),
         );
         let reqs = vec![
             RangeRequest::new("blob", 10, 90),
@@ -637,7 +343,7 @@ mod tests {
         assert_eq!(&batch.parts[4].bytes[..], &expect(3000, 96)[..]);
         let stats = store.stats();
         assert_eq!(stats.backend_batches, 1);
-        // blob[10..180) fused 3 requests into 1; the others stayed.
+        // blob[10..180) merged 3 requests into 1; the others stayed.
         assert_eq!(stats.merged_ranges, 2);
     }
 
@@ -645,10 +351,7 @@ mod tests {
     fn backend_sees_fewer_requests_and_duplicate_bytes_once() {
         let inner = blob_store();
         let sim = SimulatedCloudStore::new(inner, LatencyModel::gcs_like(), 3);
-        let store = CoalescingStore::with_config(
-            sim,
-            SchedulerConfig::new().coalesce_only().with_coalesce_gap(0),
-        );
+        let store = CoalescingStore::with_config(sim, SchedulerConfig::new().with_coalesce_gap(0));
         // Two fully-overlapping and one adjacent range: one backend read.
         let reqs = vec![
             RangeRequest::new("blob", 0, 256),
@@ -671,9 +374,7 @@ mod tests {
     fn gap_padding_and_overlap_savings_are_separate_ledgers() {
         let store = CoalescingStore::with_config(
             blob_store(),
-            SchedulerConfig::new()
-                .coalesce_only()
-                .with_coalesce_gap(100),
+            SchedulerConfig::new().with_coalesce_gap(100),
         );
         let reqs = vec![
             RangeRequest::new("blob", 0, 10),
@@ -692,8 +393,7 @@ mod tests {
 
     #[test]
     fn zero_len_and_empty_batches() {
-        let store =
-            CoalescingStore::with_config(blob_store(), SchedulerConfig::new().coalesce_only());
+        let store = CoalescingStore::new(blob_store());
         let empty = store.get_ranges(&[]).unwrap();
         assert!(empty.parts.is_empty());
         assert_eq!(empty.batch_latency, SimDuration::ZERO);
@@ -710,7 +410,7 @@ mod tests {
     #[test]
     fn solo_latency_matches_inner_batch() {
         let sim = SimulatedCloudStore::new(blob_store(), LatencyModel::gcs_like(), 9);
-        let store = CoalescingStore::with_config(sim, SchedulerConfig::new().coalesce_only());
+        let store = CoalescingStore::new(sim);
         let reqs = vec![
             RangeRequest::new("blob", 0, 128),
             RangeRequest::new("blob", 2048, 128),
@@ -725,218 +425,6 @@ mod tests {
             .map(|p| p.latency.transfer.as_secs_f64())
             .sum();
         assert!(parts_sum <= batch.batch_download.as_secs_f64() + 1e-9);
-    }
-
-    #[test]
-    fn concurrent_callers_fuse_into_one_backend_batch() {
-        // Two callers, two requests each; max_batch_requests = 4 closes
-        // the batch deterministically the moment the second caller joins
-        // (the 5 s window is only the upper bound, never waited out).
-        let sim = SimulatedCloudStore::new(blob_store(), LatencyModel::gcs_like(), 17);
-        let store = Arc::new(CoalescingStore::with_config(
-            sim,
-            SchedulerConfig::new()
-                .with_coalesce_gap(0)
-                .with_max_batch_requests(4)
-                .with_batch_window(Duration::from_secs(5)),
-        ));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let batches: Vec<BatchFetch> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|t| {
-                    let store = store.clone();
-                    let barrier = barrier.clone();
-                    s.spawn(move || {
-                        let reqs = vec![
-                            RangeRequest::new("blob", t * 1000, 100),
-                            RangeRequest::new("blob", t * 1000 + 200, 100),
-                        ];
-                        barrier.wait();
-                        store.get_ranges(&reqs).unwrap()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for (t, batch) in batches.iter().enumerate() {
-            let base = t as u64 * 1000;
-            assert_eq!(&batch.parts[0].bytes[..], &expect(base, 100)[..]);
-            assert_eq!(&batch.parts[1].bytes[..], &expect(base + 200, 100)[..]);
-            assert!(batch.batch_wait > SimDuration::ZERO, "shared wait charged");
-        }
-        let stats = store.stats();
-        assert_eq!(stats.backend_batches, 1, "one fused backend batch");
-        assert_eq!(stats.fused_batches, 1);
-        assert_eq!(store.inner().stats().batches, 1);
-        assert_eq!(store.inner().stats().read_requests, 4);
-    }
-
-    #[test]
-    fn fused_callers_share_overlapping_ranges() {
-        // Both callers want the same hot range: fused AND merged — the
-        // backend reads the bytes once.
-        let sim = SimulatedCloudStore::new(blob_store(), LatencyModel::gcs_like(), 23);
-        let store = Arc::new(CoalescingStore::with_config(
-            sim,
-            SchedulerConfig::new()
-                .with_coalesce_gap(0)
-                .with_max_batch_requests(2)
-                .with_batch_window(Duration::from_secs(5)),
-        ));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let store = store.clone();
-                let barrier = barrier.clone();
-                s.spawn(move || {
-                    barrier.wait();
-                    let batch = store
-                        .get_ranges(&[RangeRequest::new("blob", 512, 256)])
-                        .unwrap();
-                    assert_eq!(&batch.parts[0].bytes[..], &expect(512, 256)[..]);
-                });
-            }
-        });
-        let stats = store.stats();
-        assert_eq!(stats.fused_batches, 1);
-        assert_eq!(store.inner().stats().read_requests, 1);
-        assert_eq!(stats.bytes_saved, 256);
-    }
-
-    #[test]
-    fn window_zero_never_fuses() {
-        let store = Arc::new(CoalescingStore::with_config(
-            blob_store(),
-            SchedulerConfig::new().coalesce_only(),
-        ));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                let store = store.clone();
-                s.spawn(move || {
-                    store
-                        .get_ranges(&[RangeRequest::new("blob", 0, 64)])
-                        .unwrap();
-                });
-            }
-        });
-        let stats = store.stats();
-        assert_eq!(stats.fused_batches, 0);
-        assert_eq!(stats.backend_batches, 4);
-    }
-
-    #[test]
-    fn lone_caller_is_released_by_the_window() {
-        let sim = SimulatedCloudStore::new(blob_store(), LatencyModel::gcs_like(), 5);
-        let store = CoalescingStore::with_config(
-            sim,
-            SchedulerConfig::new().with_batch_window(Duration::from_millis(5)),
-        );
-        // No other caller ever arrives: the leader times out and issues.
-        let batch = store
-            .get_ranges(&[RangeRequest::new("blob", 0, 64)])
-            .unwrap();
-        assert_eq!(&batch.parts[0].bytes[..], &expect(0, 64)[..]);
-        assert_eq!(store.stats().fused_batches, 0);
-        assert_eq!(store.stats().backend_batches, 1);
-    }
-
-    #[test]
-    fn fused_errors_reach_every_caller() {
-        let store = Arc::new(CoalescingStore::with_config(
-            blob_store(),
-            SchedulerConfig::new()
-                .with_max_batch_requests(2)
-                .with_batch_window(Duration::from_secs(5)),
-        ));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let errors: Vec<StorageError> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let store = store.clone();
-                    let barrier = barrier.clone();
-                    s.spawn(move || {
-                        barrier.wait();
-                        store
-                            .get_ranges(&[RangeRequest::new("missing", 0, 8)])
-                            .unwrap_err()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for e in &errors {
-            assert!(
-                matches!(e, StorageError::BlobNotFound { name } if name == "missing"),
-                "typed error preserved across the fan-out, got {e:?}"
-            );
-        }
-        // The scheduler recovers: the next batch works.
-        let store = Arc::try_unwrap(store).ok().expect("threads joined");
-        let batch = store
-            .get_ranges(&[
-                RangeRequest::new("blob", 0, 8),
-                RangeRequest::new("blob", 8, 8),
-            ])
-            .unwrap();
-        assert_eq!(&batch.parts[0].bytes[..], &expect(0, 8)[..]);
-    }
-
-    /// Panics on the first `get_ranges`, succeeds afterwards.
-    struct PanicOnceStore {
-        inner: InMemoryStore,
-        panicked: std::sync::atomic::AtomicBool,
-    }
-
-    impl crate::StoreLayer for PanicOnceStore {
-        type Inner = InMemoryStore;
-        fn inner(&self) -> &InMemoryStore {
-            &self.inner
-        }
-        fn get_ranges(&self, requests: &[RangeRequest]) -> Result<BatchFetch> {
-            if !self.panicked.swap(true, Ordering::SeqCst) {
-                panic!("injected backend panic");
-            }
-            self.inner.get_ranges(requests)
-        }
-    }
-
-    #[test]
-    fn leader_panic_does_not_strand_followers() {
-        let inner = PanicOnceStore {
-            inner: blob_store(),
-            panicked: std::sync::atomic::AtomicBool::new(false),
-        };
-        let store = Arc::new(CoalescingStore::with_config(
-            inner,
-            SchedulerConfig::new()
-                .with_max_batch_requests(2)
-                .with_batch_window(Duration::from_secs(5)),
-        ));
-        let barrier = Arc::new(std::sync::Barrier::new(2));
-        let outcomes: Vec<bool> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let store = store.clone();
-                    let barrier = barrier.clone();
-                    s.spawn(move || {
-                        barrier.wait();
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            store.get_ranges(&[RangeRequest::new("blob", 0, 8)])
-                        }))
-                        .is_ok()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        // The leader unwound; the follower got an error result instead of
-        // hanging on the condvar forever.
-        assert_eq!(outcomes.iter().filter(|&&ok| ok).count(), 1);
-        // And the scheduler still works for the next caller.
-        let batch = store
-            .get_ranges(&[RangeRequest::new("blob", 0, 8)])
-            .unwrap();
-        assert_eq!(&batch.parts[0].bytes[..], &expect(0, 8)[..]);
     }
 
     #[test]

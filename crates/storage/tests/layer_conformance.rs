@@ -9,8 +9,8 @@
 
 use airphant_storage::{
     CachedStore, CoalescingStore, FlakyStore, InMemoryStore, LatencyModel, ObjectStore,
-    RangeRequest, RetryingStore, SchedulerConfig, SimDuration, SimulatedCloudStore, StorageError,
-    TailStore, Version,
+    RangeRequest, RetryingStore, SimDuration, SimulatedCloudStore, StorageError, TailStore,
+    Version,
 };
 use bytes::Bytes;
 use std::fmt::Debug;
@@ -20,18 +20,12 @@ use std::sync::{Arc, Barrier};
 fn layers() -> Vec<(&'static str, Arc<dyn ObjectStore>)> {
     let bare = InMemoryStore::new;
     let backoff = SimDuration::from_millis(1);
-    let coalesce_only = SchedulerConfig::new().coalesce_only();
     let cloud = LatencyModel::gcs_like();
     vec![
         ("flaky p=0", Arc::new(FlakyStore::new(bare(), 0.0, 7))),
         ("retrying", Arc::new(RetryingStore::new(bare(), 3, backoff))),
         ("cached", Arc::new(CachedStore::new(bare(), 1 << 20))),
-        (
-            "coalesce-only",
-            Arc::new(CoalescingStore::with_config(bare(), coalesce_only)),
-        ),
-        // The default config fuses concurrent batches over a window.
-        ("coalescing, fused", Arc::new(CoalescingStore::new(bare()))),
+        ("coalescing", Arc::new(CoalescingStore::new(bare()))),
         (
             "simulated cloud",
             Arc::new(SimulatedCloudStore::new(bare(), cloud, 3)),

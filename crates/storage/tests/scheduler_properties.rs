@@ -11,7 +11,6 @@ use airphant_storage::{
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Clamp raw `(offset, len)` pairs into valid ranges over `data`.
 fn clamp_ranges(data: &[u8], ranges: &[(usize, usize)]) -> Vec<RangeRequest> {
@@ -48,7 +47,7 @@ proptest! {
         let plain_batch = plain.get_ranges(&reqs).unwrap();
         let sched = CoalescingStore::with_config(
             fresh_store(&data, seed),
-            SchedulerConfig::new().coalesce_only().with_coalesce_gap(gap),
+            SchedulerConfig::new().with_coalesce_gap(gap),
         );
         let batch = sched.get_ranges(&reqs).unwrap();
         prop_assert_eq!(batch.parts.len(), plain_batch.parts.len());
@@ -81,7 +80,7 @@ proptest! {
         inner.put("blob", Bytes::from(data.clone())).unwrap();
         let sched = CoalescingStore::with_config(
             inner,
-            SchedulerConfig::new().coalesce_only().with_coalesce_gap(gap),
+            SchedulerConfig::new().with_coalesce_gap(gap),
         );
         let batch = sched.get_ranges(&reqs).unwrap();
         for (r, part) in reqs.iter().zip(&batch.parts) {
@@ -91,9 +90,8 @@ proptest! {
     }
 
     /// 8 threads with independent random range sets through ONE shared
-    /// scheduler (fusion window open): every thread gets byte-identical
-    /// parts, and the backend still sees no more requests than the
-    /// uncoalesced total.
+    /// scheduler: every thread gets byte-identical parts, and the backend
+    /// still sees no more requests than the uncoalesced total.
     #[test]
     fn concurrent_coalesced_reads_are_byte_identical(
         data in prop::collection::vec(any::<u8>(), 64..2048),
@@ -104,9 +102,7 @@ proptest! {
         let total_requests: usize = per_thread.iter().map(Vec::len).sum();
         let sched = Arc::new(CoalescingStore::with_config(
             fresh_store(&data, seed),
-            SchedulerConfig::new()
-                .with_coalesce_gap(64)
-                .with_batch_window(Duration::from_millis(2)),
+            SchedulerConfig::new().with_coalesce_gap(64),
         ));
         std::thread::scope(|s| {
             for ranges in &per_thread {
@@ -124,7 +120,7 @@ proptest! {
         });
         prop_assert!(
             sched.inner().stats().read_requests <= total_requests as u64,
-            "fusion + merging must not add requests: {} > {}",
+            "merging must not add requests: {} > {}",
             sched.inner().stats().read_requests,
             total_requests
         );

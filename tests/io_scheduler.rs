@@ -10,11 +10,10 @@ use airphant::{AirphantConfig, Builder, Query, QueryOptions, Searcher};
 use airphant_corpus::{Corpus, LineSplitter, WhitespaceTokenizer};
 use airphant_storage::{
     CachedStore, CoalescingStore, InMemoryStore, IoStatsSnapshot, LatencyModel, ObjectStore,
-    PhaseKind, SchedulerConfig, SimulatedCloudStore,
+    PhaseKind, SimulatedCloudStore,
 };
 use bytes::Bytes;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn corpus_lines(n: usize) -> Vec<String> {
     (0..n)
@@ -52,7 +51,7 @@ struct Stack {
     searcher: Arc<Searcher>,
 }
 
-fn stack(lines: &[String], window: Duration) -> Stack {
+fn stack(lines: &[String]) -> Stack {
     let raw: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
     build_index(raw.clone(), lines, "idx");
     let sim = Arc::new(SimulatedCloudStore::new(
@@ -60,10 +59,7 @@ fn stack(lines: &[String], window: Duration) -> Stack {
         LatencyModel::gcs_like(),
         4242,
     ));
-    let scheduler = Arc::new(CoalescingStore::with_config(
-        sim.clone() as Arc<dyn ObjectStore>,
-        SchedulerConfig::new().with_batch_window(window),
-    ));
+    let scheduler = Arc::new(CoalescingStore::new(sim.clone() as Arc<dyn ObjectStore>));
     let cache = Arc::new(CachedStore::new(
         scheduler.clone() as Arc<dyn ObjectStore>,
         1 << 20,
@@ -94,13 +90,13 @@ fn two_concurrent_identical_queries_cost_one_backend_postings_round_trip() {
     let opts = QueryOptions::new();
 
     // Reference: the same query, solo, over an identical fresh stack.
-    let solo = stack(&lines, Duration::from_millis(50));
+    let solo = stack(&lines);
     let solo_init: IoStatsSnapshot = solo.sim.stats(); // header reads
     let solo_result = solo.searcher.execute(&query, &opts).unwrap();
     let solo_cost = solo.sim.stats();
 
     // Two identical queries racing through ONE shared stack.
-    let shared = stack(&lines, Duration::from_millis(50));
+    let shared = stack(&lines);
     let init = shared.sim.stats();
     let (h0, m0) = shared.cache.hit_stats(); // open-time header reads
     assert_eq!(init.read_requests, solo_init.read_requests, "same init");
@@ -165,7 +161,7 @@ fn scheduler_under_cache_preserves_results_for_distinct_queries() {
     let plain = Arc::new(Searcher::open(raw, "idx").unwrap());
 
     // The scheduled stack serves the same queries from 6 racing threads.
-    let shared = stack(&lines, Duration::from_millis(5));
+    let shared = stack(&lines);
     let results: Vec<(usize, airphant::SearchResult)> = std::thread::scope(|s| {
         let handles: Vec<_> = queries
             .iter()

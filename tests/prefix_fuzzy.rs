@@ -2,7 +2,7 @@
 //! mixing `Term`, `Prefix`, and `Fuzzy` returns byte-for-byte the
 //! documents a linear scan would — through the sync `Searcher`, the
 //! staged lookup/complete halves, the async serving core, and
-//! scatter-gather sharding at N ∈ {1, 2, 4, 8} — while the whole
+//! sharding at N ∈ {1, 2, 4, 8} — while the whole
 //! vocabulary expansion still pays exactly one postings batch. Segments
 //! without a vocabulary (format v1) degrade to a typed
 //! [`AirphantError::UnsupportedQuery`], never a panic.

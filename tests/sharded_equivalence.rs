@@ -1,9 +1,11 @@
-//! Sharded vs. unsharded equivalence: scatter-gather over N
-//! hash-partitioned shards must return byte-for-byte the same result
-//! set as a single segmented index over the same zipf corpus — for any
-//! query AST, for N ∈ {1, 2, 4, 8}, under every straggler policy, and
-//! identically whether queries run sequentially or from 8 concurrent
-//! threads.
+//! Sharded vs. unsharded equivalence: a query over N hash-partitioned
+//! shards must return byte-for-byte the same result set as a single
+//! segmented index over the same zipf corpus — for any query AST, for
+//! N ∈ {1, 2, 4, 8}, under every straggler policy, and identically
+//! whether queries run sequentially or from 8 concurrent threads. With
+//! `top_k` it must equal the per-shard merge (each shard truncated, then
+//! doc-id order, then truncated), and at every N it must send exactly
+//! one postings batch and at most one documents batch to the store.
 
 use airphant::{
     AirphantConfig, Query, QueryOptions, SearchHit, SegmentManager, ShardRouter, ShardedSearcher,
@@ -11,7 +13,7 @@ use airphant::{
 };
 use airphant_corpus::{synth::word_token, zipf, Corpus, SyntheticSpec};
 use airphant_storage::{
-    InMemoryStore, LatencyModel, ObjectStore, PhaseKind, QueryTrace, SimDuration,
+    CoalescingStore, InMemoryStore, LatencyModel, ObjectStore, PhaseKind, QueryTrace, SimDuration,
     SimulatedCloudStore,
 };
 use proptest::prelude::*;
@@ -128,6 +130,30 @@ fn build_env(n_docs: u64, corpus_seed: u64, build_seed: u64) -> Env {
     }
 }
 
+/// The reference merge of a sharded query, built from each shard on its
+/// own: every shard's `execute` (already truncated to `top_k`), the hits
+/// in doc-id order, truncated again; candidates and false positives
+/// summed.
+fn per_shard_merge(
+    searcher: &ShardedSearcher,
+    query: &Query,
+    top_k: Option<usize>,
+) -> (Vec<SearchHit>, usize, usize) {
+    let opts = QueryOptions::new().with_top_k(top_k);
+    let (mut hits, mut candidates, mut dropped) = (Vec::new(), 0, 0);
+    for shard in searcher.shards() {
+        let r = shard.execute(query, &opts).unwrap();
+        hits.extend(r.hits);
+        candidates += r.candidates;
+        dropped += r.false_positives_removed;
+    }
+    hits.sort_by(|a, b| (&a.blob, a.offset, a.len).cmp(&(&b.blob, b.offset, b.len)));
+    if let Some(k) = top_k {
+        hits.truncate(k);
+    }
+    (hits, candidates, dropped)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -145,16 +171,24 @@ proptest! {
         pick in 0u8..5,
         k in 1usize..3,
         timeout_ms in 0u64..120,
+        top in 0usize..6,
     ) {
+        let top_k = (top > 0).then_some(top);
         let env = build_env(n_docs, corpus_seed, build_seed);
         let straggler = policy(pick, k, timeout_ms);
         let opts = QueryOptions::new().straggler(straggler);
+        let top = QueryOptions::new().with_top_k(top_k);
         for tape in &tapes {
             let query = ast_from_tape(tape);
             let expected = canonical(
                 &env.flat.execute(&query, &QueryOptions::new()).unwrap().hits,
             );
             for (n, searcher) in &env.sharded {
+                let topped = searcher.execute(&query, &top).unwrap();
+                let (hits, candidates, dropped) = per_shard_merge(searcher, &query, top_k);
+                prop_assert_eq!(&topped.hits, &hits, "{} shards, top {:?}, {:?}", n, top_k, &query);
+                prop_assert_eq!(topped.candidates, candidates, "{} shards", n);
+                prop_assert_eq!(topped.false_positives_removed, dropped, "{} shards", n);
                 let wait_all = searcher.execute(&query, &QueryOptions::new()).unwrap();
                 let got = searcher.execute(&query, &opts).unwrap();
                 prop_assert_eq!(&got.hits, &wait_all.hits, "{} shards, {:?}", n, straggler);
@@ -188,7 +222,7 @@ proptest! {
     }
 
     /// The same queries fired from 8 concurrent threads return exactly
-    /// the sequential answers at every shard count — the scatter-gather
+    /// the sequential answers at every shard count — the sharded
     /// read path shares no mutable per-query state.
     #[test]
     fn concurrent_sharded_queries_match_sequential(
@@ -247,6 +281,55 @@ proptest! {
     }
 }
 
+/// At every shard count, and with or without a [`CoalescingStore`]
+/// between the index and the simulated cloud, a query costs the cloud
+/// exactly one postings batch plus one documents batch (none when no
+/// candidate survives) — never one pair per shard.
+#[test]
+fn one_batch_per_phase_across_shards() {
+    for coalesce in [false, true] {
+        let sim = Arc::new(SimulatedCloudStore::new(
+            InMemoryStore::new(),
+            LatencyModel::gcs_like(),
+            5,
+        ));
+        let store: Arc<dyn ObjectStore> = if coalesce {
+            Arc::new(CoalescingStore::new(sim.clone()))
+        } else {
+            sim.clone()
+        };
+        let spec = SyntheticSpec {
+            n_docs: 200,
+            n_vocab: 60,
+            words_per_doc: 5,
+        };
+        let corpus = zipf(spec, store.clone(), "corpora/zipf", 3);
+        let queries = [
+            Query::term(word_token(1)),
+            Query::all([Query::term(word_token(1)), Query::term(word_token(2))]),
+            Query::prefix("w000000"),
+            Query::fuzzy(word_token(3), 1),
+            Query::term("absent"),
+        ];
+        for n in SHARD_COUNTS {
+            let router = ShardRouter::create(store.clone(), format!("idx{n}"), n).unwrap();
+            router.append(&corpus, &config(9)).unwrap();
+            let searcher = router.open_searcher().unwrap();
+            for query in &queries {
+                let before = sim.stats().batches;
+                let r = searcher.execute(query, &QueryOptions::new()).unwrap();
+                let expected = if r.candidates == 0 { 1 } else { 2 };
+                assert_eq!(
+                    sim.stats().batches - before,
+                    expected,
+                    "{n} shards, coalesce {coalesce}, {query:?}"
+                );
+                assert_eq!(r.trace.round_trips(), expected, "{n} shards, {query:?}");
+            }
+        }
+    }
+}
+
 /// Non-property regression: the documented fan-out invariants on a
 /// fixed corpus — constant round trips and deterministic top-k.
 #[test]
@@ -261,7 +344,7 @@ fn fanout_round_trips_and_top_k_are_stable() {
         assert_eq!(
             r.trace.round_trips(),
             2,
-            "{n} shards: lookup + documents, max over shards"
+            "{n} shards: one lookup batch + one document batch"
         );
         // Deterministic top-k: two runs agree, and the kept hits are the
         // k smallest doc ids of the full result set.
